@@ -425,11 +425,11 @@ let login t ?handheld ?key ?service ~password k =
                       let dh_shared_key () =
                         match (rep.p_dh_public, !dh_keypair) with
                         | Some server_pub, Some (grp, kp) ->
-                            let shared =
-                              Crypto.Dh.shared_secret grp kp
-                                (Crypto.Bignum.of_bytes_be server_pub)
-                            in
-                            Ok (Crypto.Dh.secret_to_key grp shared)
+                            Result.map
+                              (fun y ->
+                                Crypto.Dh.secret_to_key grp
+                                  (Crypto.Dh.shared_secret grp kp y))
+                              (Crypto.Dh.peer_public grp server_pub)
                         | _ -> Error "KDC omitted its exponential"
                       in
                       let unwrap_key =

@@ -266,13 +266,16 @@ let dh_respond t (q : Messages.as_req) =
   | None -> Error "dh login requires an exponential"
   | Some client_pub ->
       let grp = Crypto.Dh.group ~bits:t.profile.Profile.dh_group_bits in
-      let kp = Crypto.Dh.generate t.rng grp in
-      let shared = Crypto.Dh.shared_secret grp kp (Crypto.Bignum.of_bytes_be client_pub) in
-      let kdh = Crypto.Dh.secret_to_key grp shared in
-      let pub_bytes =
-        Crypto.Bignum.to_bytes_be ~size:((Crypto.Bignum.num_bits grp.p + 7) / 8) kp.public
-      in
-      Ok (kdh, pub_bytes)
+      Result.map
+        (fun their_public ->
+          let kp = Crypto.Dh.generate t.rng grp in
+          let shared = Crypto.Dh.shared_secret grp kp their_public in
+          let kdh = Crypto.Dh.secret_to_key grp shared in
+          let pub_bytes =
+            Crypto.Bignum.to_bytes_be ~size:((Crypto.Bignum.num_bits grp.p + 7) / 8) kp.public
+          in
+          (kdh, pub_bytes))
+        (Crypto.Dh.peer_public grp client_pub)
 
 let wrap_key t ~client_key (q : Messages.as_req) =
   (* Returns (wrapping key, challenge field, dh field) per login method. *)

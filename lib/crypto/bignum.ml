@@ -25,13 +25,12 @@ let two = of_int 2
 
 let is_zero (a : t) = Array.length a = 0
 
+(* Bit length of one limb. *)
+let rec width v = if v = 0 then 0 else 1 + width (v lsr 1)
+
 let num_bits (a : t) =
   let n = Array.length a in
-  if n = 0 then 0
-  else
-    let top = a.(n - 1) in
-    let rec width v = if v = 0 then 0 else 1 + width (v lsr 1) in
-    ((n - 1) * limb_bits) + width top
+  if n = 0 then 0 else ((n - 1) * limb_bits) + width a.(n - 1)
 
 let to_int_opt (a : t) =
   if num_bits a > 62 then None
@@ -146,21 +145,83 @@ let bit (a : t) i =
   let limb = i / limb_bits and off = i mod limb_bits in
   limb < Array.length a && (a.(limb) lsr off) land 1 = 1
 
-(* Limb-wise schoolbook division (Knuth TAOCP vol. 2, Algorithm D): O(limbs
-   of quotient * limbs of divisor), versus O(bits * limbs) for the binary
-   long division it replaced — the difference between a 521-bit modular
-   reduction costing ~1000 limb passes and ~20. All intermediates fit the
-   63-bit native int: two-limb numerators and limb*limb products stay under
-   2^53. *)
+(* [dst.(0 .. len-1)] <- [src.(0 .. len-1)] shifted left by [s < limb_bits]
+   bits, dropping what leaves the top limb. [dst] may be [src]. *)
+let shl_into src dst len s =
+  for i = len - 1 downto 1 do
+    dst.(i) <- ((src.(i) lsl s) land limb_mask) lor (src.(i - 1) lsr (limb_bits - s))
+  done;
+  dst.(0) <- (src.(0) lsl s) land limb_mask
+
+(* [dst.(0 .. len-1)] <- [src.(0 .. len)] shifted right by [s < limb_bits]
+   bits. *)
+let shr_into src dst len s =
+  for i = 0 to len - 1 do
+    dst.(i) <- (src.(i) lsr s) lor ((src.(i + 1) lsl (limb_bits - s)) land limb_mask)
+  done
+
+(* Limb-wise schoolbook division (Knuth TAOCP vol. 2, Algorithm D, steps
+   D2-D7), in place: O(limbs of quotient * limbs of divisor). [v] is an
+   [nb]-limb divisor normalized (D1) so its top limb has the high bit set,
+   which keeps the quotient-digit estimate from the top two limbs off by
+   at most 2; [u] is the dividend shifted by the same amount, with
+   [m + nb + 1] limbs in use. On return [u.(0 .. nb-1)] holds the remainder,
+   still shifted, and [q.(0 .. m)] the quotient. All intermediates fit the
+   63-bit native int: two-limb numerators and limb*limb products stay
+   under 2^53. *)
+let div_in_place u ~m v ~nb q =
+  let vtop = v.(nb - 1) and vsec = if nb > 1 then v.(nb - 2) else 0 in
+  for j = m downto 0 do
+    (* D3: estimate the quotient digit from the top two limbs, then
+       correct it with the third. *)
+    let num = (u.(j + nb) lsl limb_bits) lor u.(j + nb - 1) in
+    let third = if nb > 1 then u.(j + nb - 2) else 0 in
+    let qhat = ref (num / vtop) in
+    let rhat = ref (num - (!qhat * vtop)) in
+    let adjusting = ref true in
+    while !adjusting do
+      if !qhat >= limb_base || !qhat * vsec > (!rhat lsl limb_bits) lor third then begin
+        decr qhat;
+        rhat := !rhat + vtop;
+        if !rhat >= limb_base then adjusting := false
+      end
+      else adjusting := false
+    done;
+    (* D4: multiply and subtract. *)
+    let carry = ref 0 and borrow = ref 0 in
+    for i = 0 to nb - 1 do
+      let p = (!qhat * v.(i)) + !carry in
+      carry := p lsr limb_bits;
+      (* d >= -limb_base, so its low bits are the borrowed digit. *)
+      let d = u.(i + j) - (p land limb_mask) - !borrow in
+      u.(i + j) <- d land limb_mask;
+      borrow := -(d asr limb_bits)
+    done;
+    let d = u.(j + nb) - !carry - !borrow in
+    u.(j + nb) <- d land limb_mask;
+    if d >= 0 then q.(j) <- !qhat
+    else begin
+      (* D6: the estimate was one too high; add the divisor back. *)
+      q.(j) <- !qhat - 1;
+      let c = ref 0 in
+      for i = 0 to nb - 1 do
+        let s = u.(i + j) + v.(i) + !c in
+        u.(i + j) <- s land limb_mask;
+        c := s lsr limb_bits
+      done;
+      u.(j + nb) <- (u.(j + nb) + !c) land limb_mask
+    end
+  done
+
 let divmod (a : t) (b : t) =
   if is_zero b then raise Division_by_zero;
   if compare a b < 0 then (zero, a)
   else begin
-    let nb = Array.length b in
+    let na = Array.length a and nb = Array.length b in
     if nb = 1 then begin
-      (* Short division by a single limb. *)
+      (* Short division by a single limb: the discrete-log searches reduce
+         modulo one-limb toy primes millions of times. *)
       let d = b.(0) in
-      let na = Array.length a in
       let q = Array.make na 0 in
       let r = ref 0 in
       for i = na - 1 downto 0 do
@@ -171,71 +232,17 @@ let divmod (a : t) (b : t) =
       (normalize q, normalize [| !r |])
     end
     else begin
-      (* D1: normalize so the divisor's top limb has its high bit set; the
-         quotient-digit estimate from the top two limbs is then off by at
-         most 2. *)
-      let width v =
-        let rec go v = if v = 0 then 0 else 1 + go (v lsr 1) in
-        go v
-      in
       let shift = limb_bits - width b.(nb - 1) in
-      let v = if shift = 0 then b else shift_left b shift in
-      let na = Array.length a in
-      let u = Array.make (na + 2) 0 in
-      let a' = shift_left a shift in
-      Array.blit a' 0 u 0 (Array.length a');
-      let m = na - nb in
-      let q = Array.make (m + 1) 0 in
-      let vtop = v.(nb - 1) and vsec = v.(nb - 2) in
-      for j = m downto 0 do
-        (* D3: estimate the quotient digit from the top two limbs, then
-           correct it with the third. *)
-        let num = (u.(j + nb) lsl limb_bits) lor u.(j + nb - 1) in
-        let qhat = ref (num / vtop) and rhat = ref (num mod vtop) in
-        let adjusting = ref true in
-        while !adjusting do
-          if
-            !qhat >= limb_base
-            || !qhat * vsec > (!rhat lsl limb_bits) lor u.(j + nb - 2)
-          then begin
-            decr qhat;
-            rhat := !rhat + vtop;
-            if !rhat >= limb_base then adjusting := false
-          end
-          else adjusting := false
-        done;
-        (* D4: multiply and subtract. *)
-        let carry = ref 0 and borrow = ref 0 in
-        for i = 0 to nb - 1 do
-          let p = (!qhat * v.(i)) + !carry in
-          carry := p lsr limb_bits;
-          let d = u.(i + j) - (p land limb_mask) - !borrow in
-          if d < 0 then begin
-            u.(i + j) <- d + limb_base;
-            borrow := 1
-          end
-          else begin
-            u.(i + j) <- d;
-            borrow := 0
-          end
-        done;
-        let d = u.(j + nb) - !carry - !borrow in
-        u.(j + nb) <- d land limb_mask;
-        if d >= 0 then q.(j) <- !qhat
-        else begin
-          (* D6: the estimate was one too high; add the divisor back. *)
-          q.(j) <- !qhat - 1;
-          let c = ref 0 in
-          for i = 0 to nb - 1 do
-            let s = u.(i + j) + v.(i) + !c in
-            u.(i + j) <- s land limb_mask;
-            c := s lsr limb_bits
-          done;
-          u.(j + nb) <- (u.(j + nb) + !c) land limb_mask
-        end
-      done;
-      let r = normalize (Array.sub u 0 nb) in
-      (normalize q, if shift = 0 then r else shift_right r shift)
+      let v = Array.make nb 0 in
+      shl_into b v nb shift;
+      let u = Array.make (na + 1) 0 in
+      Array.blit a 0 u 0 na;
+      shl_into u u (na + 1) shift;
+      let q = Array.make (na - nb + 1) 0 in
+      div_in_place u ~m:(na - nb) v ~nb q;
+      let r = Array.make nb 0 in
+      shr_into u r nb shift;
+      (normalize q, normalize r)
     end
   end
 
@@ -243,10 +250,53 @@ let rem a b = snd (divmod a b)
 
 let mod_mul a b ~modulus = rem (mul a b) modulus
 
+(* Fixed-width reduction modulo one n-limb modulus: operands are n-limb
+   arrays (leading zero limbs allowed) below the modulus, and the
+   normalized modulus and all scratch space are built once, so a
+   multiply-and-reduce allocates nothing. Such a product is below
+   modulus * B^n (B the limb base): shifted by the normalization, it still
+   fits in 2n limbs and its top n limbs are below the shifted modulus, so
+   Algorithm D needs no extra limb and yields n quotient digits. *)
+type reducer = {
+  n : int;
+  shift : int;  (* Algorithm D's normalization shift *)
+  v : int array;  (* the modulus, shifted left by [shift] *)
+  prod : int array;  (* 2n limbs: the product, then the dividend *)
+  quot : int array;  (* n limbs: the discarded quotient *)
+}
+
+let reducer (modulus : t) =
+  let n = Array.length modulus in
+  let shift = limb_bits - width modulus.(n - 1) in
+  let v = Array.make n 0 in
+  shl_into modulus v n shift;
+  { n; shift; v; prod = Array.make (2 * n) 0; quot = Array.make n 0 }
+
+(* [out] <- [a * b mod modulus]; [out] may be [a] or [b]. *)
+let mulmod_into k a b out =
+  let n = k.n and u = k.prod in
+  Array.fill u 0 (2 * n) 0;
+  for i = 0 to n - 1 do
+    let ai = a.(i) in
+    if ai <> 0 then begin
+      let carry = ref 0 in
+      for j = 0 to n - 1 do
+        let x = u.(i + j) + (ai * b.(j)) + !carry in
+        u.(i + j) <- x land limb_mask;
+        carry := x lsr limb_bits
+      done;
+      u.(i + n) <- !carry
+    end
+  done;
+  shl_into u u (2 * n) k.shift;
+  div_in_place u ~m:(n - 1) k.v ~nb:n k.quot;
+  shr_into u out n k.shift
+
 (* Sliding-window exponentiation, 4-bit windows: precompute the eight odd
    powers b^1, b^3, ..., b^15 and consume the exponent MSB-first, squaring
    per bit and multiplying once per window — about 1.2 multiplies per
-   exponent bit instead of the 1.5 of square-and-multiply. *)
+   exponent bit instead of the 1.5 of square-and-multiply. Every step
+   reduces in place through one {!reducer}. *)
 let mod_pow ~base ~exp ~modulus =
   if equal modulus one then zero
   else begin
@@ -254,16 +304,19 @@ let mod_pow ~base ~exp ~modulus =
     if n = 0 then one
     else begin
       let b = rem base modulus in
-      let b2 = mod_mul b b ~modulus in
-      let odd_pows = Array.make 8 b in
+      let k = reducer modulus in
+      let b2 = Array.make k.n 0 and odd_pows = Array.make_matrix 8 k.n 0 in
+      Array.blit b 0 odd_pows.(0) 0 (Array.length b);
+      mulmod_into k odd_pows.(0) odd_pows.(0) b2;
       for i = 1 to 7 do
-        odd_pows.(i) <- mod_mul odd_pows.(i - 1) b2 ~modulus
+        mulmod_into k odd_pows.(i - 1) b2 odd_pows.(i)
       done;
-      let result = ref one in
+      let result = Array.make k.n 0 in
+      result.(0) <- 1;
       let i = ref (n - 1) in
       while !i >= 0 do
         if not (bit exp !i) then begin
-          result := mod_mul !result !result ~modulus;
+          mulmod_into k result result result;
           decr i
         end
         else begin
@@ -276,13 +329,15 @@ let mod_pow ~base ~exp ~modulus =
             v := (!v lsl 1) lor (if bit exp j then 1 else 0)
           done;
           for _ = !l to !i do
-            result := mod_mul !result !result ~modulus
+            mulmod_into k result result result
           done;
-          result := mod_mul !result odd_pows.(!v lsr 1) ~modulus;
+          (* Odd power first: a small base leaves its high limbs zero,
+             and the row loop skips zero limbs of its first operand. *)
+          mulmod_into k odd_pows.(!v lsr 1) result result;
           i := !l - 1
         end
       done;
-      !result
+      normalize result
     end
   end
 
@@ -304,44 +359,43 @@ let of_hex s =
     s;
   !v
 
+(* The [w <= limb_bits] bits of [a] from bit [pos] up; [pos] must lie
+   below the top limb's end. *)
+let bits_at (a : t) pos w =
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let hi =
+    if off > limb_bits - w && limb + 1 < Array.length a then a.(limb + 1) lsl (limb_bits - off)
+    else 0
+  in
+  ((a.(limb) lsr off) lor hi) land ((1 lsl w) - 1)
+
 let to_hex (a : t) =
   if is_zero a then "0"
   else begin
     let nibbles = (num_bits a + 3) / 4 in
-    let buf = Buffer.create nibbles in
-    for i = nibbles - 1 downto 0 do
-      let limb = (i * 4) / limb_bits and off = (i * 4) mod limb_bits in
-      let v =
-        (a.(limb) lsr off)
-        lor (if off > limb_bits - 4 && limb + 1 < Array.length a then a.(limb + 1) lsl (limb_bits - off) else 0)
-      in
-      Buffer.add_char buf "0123456789abcdef".[v land 0xf]
-    done;
-    (* strip leading zero nibble if the bit count wasn't a nibble multiple *)
-    let s = Buffer.contents buf in
-    let start = ref 0 in
-    while !start < String.length s - 1 && s.[!start] = '0' do incr start done;
-    String.sub s !start (String.length s - !start)
+    String.init nibbles (fun i -> "0123456789abcdef".[bits_at a ((nibbles - 1 - i) * 4) 4])
   end
 
+(* Bytes map straight onto limbs: byte [i] from the end holds bits
+   [8i .. 8i+7], which straddle at most two limbs. *)
 let of_bytes_be b =
-  let v = ref zero in
-  Bytes.iter (fun c -> v := add (shift_left !v 8) (of_int (Char.code c))) b;
-  !v
+  let len = Bytes.length b in
+  let out = Array.make (((len * 8) + limb_bits - 1) / limb_bits) 0 in
+  for i = 0 to len - 1 do
+    let byte = Char.code (Bytes.get b (len - 1 - i)) in
+    let limb = i * 8 / limb_bits and off = i * 8 mod limb_bits in
+    out.(limb) <- out.(limb) lor ((byte lsl off) land limb_mask);
+    if off > limb_bits - 8 then out.(limb + 1) <- out.(limb + 1) lor (byte lsr (limb_bits - off))
+  done;
+  normalize out
 
 let to_bytes_be ?size (a : t) =
   let needed = (num_bits a + 7) / 8 in
   let size = match size with None -> max needed 1 | Some s -> s in
   if needed > size then invalid_arg "Bignum.to_bytes_be: value too large";
   let out = Bytes.make size '\000' in
-  let v = ref a in
-  let i = ref (size - 1) in
-  while not (is_zero !v) do
-    (match to_int_opt (rem !v (of_int 256)) with
-    | Some b -> Bytes.set out !i (Char.chr b)
-    | None -> assert false);
-    v := shift_right !v 8;
-    decr i
+  for i = 0 to needed - 1 do
+    Bytes.set out (size - 1 - i) (Char.chr (bits_at a (i * 8) 8))
   done;
   out
 

@@ -48,7 +48,9 @@ val num_bits : t -> int
 (** Position of the highest set bit plus one; 0 for zero. *)
 
 val mod_pow : base:t -> exp:t -> modulus:t -> t
-(** Sliding-window (4-bit) modular exponentiation. *)
+(** Sliding-window (4-bit) modular exponentiation. Each step reduces in
+    buffers allocated once per call, so a call allocates O(limbs of
+    [modulus]) words, not a fresh product per step. *)
 
 val mod_mul : t -> t -> modulus:t -> t
 

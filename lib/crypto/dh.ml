@@ -38,6 +38,12 @@ let generate rng grp =
   let secret = Bignum.add (Bignum.random_below rng bound) Bignum.two in
   { secret; public = Bignum.mod_pow ~base:grp.g ~exp:secret ~modulus:grp.p }
 
+let peer_public grp b =
+  let y = Bignum.of_bytes_be b in
+  if Bignum.compare y Bignum.one > 0 && Bignum.compare y (Bignum.sub grp.p Bignum.one) < 0
+  then Ok y
+  else Error "peer exponential out of range"
+
 let shared_secret grp kp their_public =
   Bignum.mod_pow ~base:their_public ~exp:kp.secret ~modulus:grp.p
 

@@ -25,6 +25,13 @@ val group : bits:int -> group
 type keypair = { secret : Bignum.t; public : Bignum.t }
 
 val generate : Util.Rng.t -> group -> keypair
+val peer_public : group -> bytes -> (Bignum.t, string) result
+(** Decode the peer's big-endian exponential [y], accepting only
+    [1 < y < p-1]. The values 0, 1 and [p-1], and anything reduced to them
+    modulo [p], confine the shared secret to [{0, 1, p-1}], which an active
+    attacker can predict; rejecting [y >= p] also spares reducing an
+    arbitrarily long number. *)
+
 val shared_secret : group -> keypair -> Bignum.t -> Bignum.t
 (** [shared_secret grp kp their_public]. *)
 

@@ -459,7 +459,22 @@ let bignum_hex_roundtrip =
       let rng = Util.Rng.create (Int64.of_int (bits + 99)) in
       let open Crypto.Bignum in
       let a = random rng ~bits:(max 1 bits) in
-      equal a (of_hex (to_hex a)) && equal a (of_bytes_be (to_bytes_be a)))
+      (* Bytes with leading zeros, decoded against the hex path, which
+         shares no code with the byte packing ([random] does). *)
+      let b =
+        Bytes.cat (Bytes.make (bits mod 4) '\000') (Util.Rng.bytes rng (bits / 8))
+      in
+      let v = of_bytes_be b in
+      let too_small () =
+        match to_bytes_be ~size:(Bytes.length (to_bytes_be v) - 1) v with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      in
+      equal a (of_hex (to_hex a))
+      && equal a (of_bytes_be (to_bytes_be a))
+      && equal v (of_hex (Util.Bytesutil.to_hex b))
+      && Bytes.equal (to_bytes_be ~size:(Bytes.length b) v) b
+      && (is_zero v || too_small ()))
 
 let bignum_modpow () =
   let open Crypto.Bignum in
@@ -469,6 +484,70 @@ let bignum_modpow () =
   (* Fermat: 7^(p-1) = 1 mod p for p = 1000003 *)
   Alcotest.(check bool) "fermat" true
     (equal (mod_pow ~base:(bn 7) ~exp:(bn 1_000_002) ~modulus:(bn 1_000_003)) one)
+
+(* Left-to-right square-and-multiply from the public [mod_mul]: the oracle
+   for the in-place sliding-window [mod_pow]. *)
+let naive_mod_pow ~base ~exp ~modulus =
+  let open Crypto.Bignum in
+  let r = ref (rem one modulus) in
+  for i = num_bits exp - 1 downto 0 do
+    r := mod_mul !r !r ~modulus;
+    if bit exp i then r := mod_mul !r base ~modulus
+  done;
+  !r
+
+(* Moduli of one limb, several limbs, a full-width top limb (no
+   normalization shift), even values and 1; bases from 0 to twice the
+   modulus width; exponents 0, 1 and up to 160 bits. *)
+let gen_mod_pow_case =
+  let open QCheck.Gen in
+  let open Crypto.Bignum in
+  map
+    (fun (seed, kind, bits, ebits) ->
+      let rng = Util.Rng.create (Int64.of_int seed) in
+      let modulus =
+        match kind with
+        | 0 -> add (random rng ~bits:(1 + (bits mod 26))) two
+        | 1 -> add (random rng ~bits:(27 + bits)) two
+        | 2 -> sub (shift_left one (26 * (1 + (bits mod 4)))) one
+        | 3 -> shift_left (add (random rng ~bits:(1 + bits)) one) 1
+        | 4 -> List.nth [ of_int 1000; shift_left one 400 ] (bits mod 2)
+        | _ -> one
+      in
+      let base =
+        match bits mod 5 with
+        | 0 -> zero
+        | _ -> random rng ~bits:(2 * num_bits modulus)
+      in
+      let exp = match ebits with 0 -> zero | 1 -> one | e -> random rng ~bits:e in
+      (base, exp, modulus))
+    (quad nat (int_bound 5) (int_bound 200) (int_bound 160))
+
+let bignum_modpow_oracle =
+  QCheck.Test.make ~name:"mod_pow matches square-and-multiply" ~count:600
+    (QCheck.make
+       ~print:(fun (b, e, m) ->
+         let h = Crypto.Bignum.to_hex in
+         Printf.sprintf "base %s exp %s modulus %s" (h b) (h e) (h m))
+       gen_mod_pow_case)
+    (fun (base, exp, modulus) ->
+      Crypto.Bignum.equal
+        (Crypto.Bignum.mod_pow ~base ~exp ~modulus)
+        (naive_mod_pow ~base ~exp ~modulus))
+
+let bignum_modpow_allocation () =
+  (* One 127-bit exponentiation reduces in preallocated buffers: its
+     allocation is a few hundred words of setup, not a fresh product and
+     quotient per step. *)
+  let open Crypto.Bignum in
+  let rng = Util.Rng.create 127L in
+  let modulus = sub (shift_left one 127) one in
+  let base = random rng ~bits:126 and exp = random rng ~bits:126 in
+  ignore (mod_pow ~base ~exp ~modulus);
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (mod_pow ~base ~exp ~modulus));
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 1000" words) true (words < 1000.)
 
 let bignum_primality () =
   let rng = Util.Rng.create 1234L in
@@ -497,6 +576,8 @@ let suite_bignum =
     QCheck_alcotest.to_alcotest bignum_divmod_prop;
     QCheck_alcotest.to_alcotest bignum_hex_roundtrip;
     Alcotest.test_case "modpow" `Quick bignum_modpow;
+    QCheck_alcotest.to_alcotest bignum_modpow_oracle;
+    Alcotest.test_case "modpow allocation" `Quick bignum_modpow_allocation;
     Alcotest.test_case "primality" `Quick bignum_primality ]
 
 (* ------------------------------------------------------------------ *)

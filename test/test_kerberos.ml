@@ -386,6 +386,62 @@ let challenge_state_bounded () =
   run bed;
   Alcotest.(check bool) "honest client still served" true !ok
 
+(* An active attacker on the hardened login substitutes an exponential
+   that pins the DH secret (1), or one outside the group (p). Each side
+   must refuse the other's bad value through its own error path. *)
+let bad_exponentials =
+  let p = (Crypto.Dh.group ~bits:Profile.hardened.Profile.dh_group_bits).Crypto.Dh.p in
+  let size = (Crypto.Bignum.num_bits p + 7) / 8 in
+  [ ("1", Crypto.Bignum.to_bytes_be ~size Crypto.Bignum.one);
+    ("p", Crypto.Bignum.to_bytes_be ~size p) ]
+
+(* Log in through an interceptor that rewrites every message to or from
+   the KDC port that [rewrite] accepts; returns the login result. *)
+let login_rewritten ~to_kdc rewrite =
+  let bed = make_bed ~profile:Profile.hardened () in
+  let enc = Profile.hardened.Profile.encoding in
+  Sim.Net.set_interceptor bed.net (fun pkt ->
+      let port = if to_kdc then pkt.Sim.Packet.dport else pkt.Sim.Packet.sport in
+      if port <> Kdc.default_port then Sim.Net.Deliver
+      else
+        match rewrite (Wire.Encoding.decode enc pkt.Sim.Packet.payload) with
+        | v -> Sim.Net.Replace [ { pkt with Sim.Packet.payload = Wire.Encoding.encode enc v } ]
+        | exception Wire.Codec.Decode_error _ -> Sim.Net.Deliver);
+  let result = ref None in
+  Client.login bed.client ~password:"correct.horse" (fun r -> result := Some r);
+  run bed;
+  match !result with
+  | Some (Ok _) -> Alcotest.fail "login succeeded with a bad exponential"
+  | Some (Error e) -> e
+  | None -> Alcotest.fail "no answer"
+
+let kdc_rejects_bad_exponential () =
+  List.iter
+    (fun (name, y) ->
+      let e =
+        login_rewritten ~to_kdc:true (fun v ->
+            let q = Messages.as_req_of_value v in
+            Messages.as_req_to_value
+              { q with
+                Messages.q_padata =
+                  List.map
+                    (function Messages.Pa_dh _ -> Messages.Pa_dh y | pa -> pa)
+                    q.Messages.q_padata })
+      in
+      Alcotest.(check string) ("Pa_dh " ^ name) "KDC error: peer exponential out of range" e)
+    bad_exponentials
+
+let client_rejects_bad_exponential () =
+  List.iter
+    (fun (name, y) ->
+      let e =
+        login_rewritten ~to_kdc:false (fun v ->
+            Messages.as_rep_to_value
+              { (Messages.as_rep_of_value v) with Messages.p_dh_public = Some y })
+      in
+      Alcotest.(check string) ("KDC exponential " ^ name) "peer exponential out of range" e)
+    bad_exponentials
+
 let kdc_timeout () =
   (* A client with no KDC on the network reports a timeout, not a hang. *)
   let eng = Sim.Engine.create () in
@@ -415,6 +471,11 @@ let () =
       ("v4+handheld", profile_cases "v4+handheld" v4_handheld);
       ("v4+dh61", profile_cases "v4+dh61" v4_dh61);
       ("timeout", [ Alcotest.test_case "kdc unreachable" `Quick kdc_timeout ]);
+      ( "dh-exponential",
+        [ Alcotest.test_case "kdc rejects a bad client exponential" `Quick
+            kdc_rejects_bad_exponential;
+          Alcotest.test_case "client rejects a bad kdc exponential" `Quick
+            client_rejects_bad_exponential ] );
       ( "server-state",
         [ Alcotest.test_case "challenge flood bounded" `Quick challenge_state_bounded ] );
       ("replay", suite_replay);
