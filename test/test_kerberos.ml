@@ -471,7 +471,7 @@ let () =
       ("v4+handheld", profile_cases "v4+handheld" v4_handheld);
       ("v4+dh61", profile_cases "v4+dh61" v4_dh61);
       ("timeout", [ Alcotest.test_case "kdc unreachable" `Quick kdc_timeout ]);
-      ( "dh-exponential",
+      ( "dh-peer",
         [ Alcotest.test_case "kdc rejects a bad client exponential" `Quick
             kdc_rejects_bad_exponential;
           Alcotest.test_case "client rejects a bad kdc exponential" `Quick
