@@ -301,10 +301,11 @@ let handle_frame t ~cx raw =
          failure paths record the outcome via [flag_outcome]. *)
       let traced name handler =
         let span =
+          let src = cx.cx_src in
           Telemetry.Collector.span_begin t.tel ~component:"apserver" name
-            ~attrs:
+            ~attrs:(fun () ->
               [ ("service", Principal.to_string t.principal);
-                ("src", Sim.Addr.to_string cx.cx_src) ]
+                ("src", Sim.Addr.to_string src) ])
         in
         t.pending_outcome <- None;
         Telemetry.Collector.with_context t.tel span handler;

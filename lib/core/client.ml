@@ -348,7 +348,7 @@ let exchange_span t name =
   let tel = Sim.Net.telemetry t.net in
   let span =
     Telemetry.Collector.span_begin tel ~component:"client" name
-      ~attrs:[ ("client", Principal.to_string t.me) ]
+      ~attrs:(fun () -> [ ("client", Principal.to_string t.me) ])
   in
   let wrap_k k r =
     Telemetry.Collector.span_finish tel

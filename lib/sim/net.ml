@@ -141,24 +141,26 @@ let path_mtu t ~src ~dst =
     | Some override -> override
     | None -> t.default_mtu
 
+(* A packet span's attrs, as the thunk the trace renders when it is read:
+   it holds the header fields and the payload's length, not the payload. *)
 let packet_attrs pkt =
-  [ ("src", Printf.sprintf "%s:%d" (Addr.to_string pkt.Packet.src) pkt.Packet.sport);
-    ("dst", Printf.sprintf "%s:%d" (Addr.to_string pkt.Packet.dst) pkt.Packet.dport);
-    ("bytes", string_of_int (Bytes.length pkt.Packet.payload));
-    ("uid", string_of_int pkt.Packet.uid) ]
+  let { Packet.src; sport; dst; dport; payload; uid } = pkt in
+  let bytes = Bytes.length payload in
+  fun () ->
+    [ ("src", Printf.sprintf "%s:%d" (Addr.to_string src) sport);
+      ("dst", Printf.sprintf "%s:%d" (Addr.to_string dst) dport);
+      ("bytes", string_of_int bytes);
+      ("uid", string_of_int uid) ]
 
 (* Every packet is one span: begun at transmission (nested, via the
    context stack, under whatever exchange sent it) and finished at
    delivery or drop. The receiving handler runs inside the packet's span
    context, so server-side handling nests under the packet that caused
-   it. Under a lightweight collector the four sprintf attrs are skipped —
-   span_begin would drop them unused. *)
-let begin_packet_span t pkt =
-  if Telemetry.Collector.lightweight t.tel then
-    Telemetry.Collector.span_begin t.tel ~component:"net" "net.packet"
-  else
-    Telemetry.Collector.span_begin t.tel ~component:"net" ~attrs:(packet_attrs pkt)
-      "net.packet"
+   it. [tag], when given, leads the attrs. *)
+let begin_packet_span ?parent ?tag t pkt =
+  let attrs = packet_attrs pkt in
+  let attrs = match tag with None -> attrs | Some kv -> fun () -> kv :: attrs () in
+  Telemetry.Collector.span_begin t.tel ~component:"net" ?parent ~attrs "net.packet"
 
 (* Every drop also bumps a per-reason counter ("no listener" →
    net.dropped.no-listener) so black holes show up in the metrics export,
@@ -238,10 +240,8 @@ let faulted_deliver t span pkt =
                 (* An injected duplicate is its own wire event: fresh span,
                    same parent exchange as the original. *)
                 let sp =
-                  Telemetry.Collector.span_begin t.tel ~component:"net"
-                    ?parent:span.Telemetry.Span.parent
-                    ~attrs:(("fault", "duplicate") :: packet_attrs p)
-                    "net.packet"
+                  begin_packet_span t p ?parent:span.Telemetry.Span.parent
+                    ~tag:("fault", "duplicate")
                 in
                 deliver ~extra t sp p)
             deliveries)
@@ -264,10 +264,8 @@ let transmit t pkt =
           List.iter
             (fun p ->
               let sp =
-                Telemetry.Collector.span_begin t.tel ~component:"net"
-                  ?parent:span.Telemetry.Span.parent
-                  ~attrs:(("injected", "replace") :: packet_attrs p)
-                  "net.packet"
+                begin_packet_span t p ?parent:span.Telemetry.Span.parent
+                  ~tag:("injected", "replace")
               in
               faulted_deliver t sp p)
             pkts)
@@ -282,15 +280,10 @@ let send t ?src ~sport ~dst ~dport host payload =
 let inject t pkt =
   t.next_uid <- t.next_uid + 1;
   let pkt = { pkt with Packet.uid = t.next_uid } in
-  record t (Sent (now t, pkt));
+  if not (Telemetry.Collector.lightweight t.tel) then record t (Sent (now t, pkt));
   Telemetry.Metrics.incr t.c_sent;
   List.iter (fun tap -> tap pkt) t.taps;
-  let span =
-    Telemetry.Collector.span_begin t.tel ~component:"net"
-      ~attrs:(("injected", "true") :: packet_attrs pkt)
-      "net.packet"
-  in
-  deliver t span pkt
+  deliver t (begin_packet_span t pkt ~tag:("injected", "true")) pkt
 
 let add_tap t fn = t.taps <- t.taps @ [ fn ]
 let set_interceptor t fn = t.interceptor <- Some fn

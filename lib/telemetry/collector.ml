@@ -61,7 +61,7 @@ let event t ?time ?(severity = Trace.Info) ~component ~kind attrs =
 
 let current_span t = match t.context with [] -> None | s :: _ -> Some s
 
-let span_begin t ?time ?parent ?(attrs = []) ~component name =
+let span_begin t ?time ?parent ?(attrs = fun () -> []) ~component name =
   let time = match time with Some x -> x | None -> now t in
   let parent =
     match parent with
@@ -70,21 +70,16 @@ let span_begin t ?time ?parent ?(attrs = []) ~component name =
   in
   let span =
     { Span.id = t.next_span_id; name; component; parent; start_time = time;
-      end_time = None; outcome = "open"; attrs }
+      end_time = None; outcome = "open" }
   in
   t.next_span_id <- t.next_span_id + 1;
   (* Lightweight mode: spans still exist (their duration feeds the
      histograms the load reports are computed from) but the open-span
      table and the per-span trace events — the per-packet cost — are
-     skipped. *)
+     skipped, and [attrs] is never forced. *)
   if not t.lightweight then begin
     Hashtbl.replace t.open_table span.Span.id span;
-    Trace.event t.trace ~time ~severity:Trace.Debug ~component ~kind:"span.begin"
-      ([ ("span", string_of_int span.Span.id); ("name", name) ]
-      @ (match parent with
-        | Some p -> [ ("parent", string_of_int p) ]
-        | None -> [])
-      @ attrs)
+    Trace.span_begin t.trace ~attrs span
   end;
   span
 
@@ -107,21 +102,14 @@ let span_finish t ?time ?(outcome = "ok") (span : Span.t) =
     Metrics.observe (span_hist t span.Span.name) duration;
     if not t.lightweight then begin
       Hashtbl.remove t.open_table span.Span.id;
-      Trace.event t.trace ~time ~severity:Trace.Debug ~component:span.Span.component
-        ~kind:"span.end"
-        [ ("span", string_of_int span.Span.id); ("name", span.Span.name);
-          ("outcome", outcome);
-          ("duration_ms", Printf.sprintf "%.3f" (duration *. 1000.0)) ]
+      Trace.span_end t.trace ~time span
     end
   end
 
 let span_abandon t ?time (span : Span.t) =
   if Span.is_open span then begin
     let time = match time with Some x -> x | None -> now t in
-    if not t.lightweight then
-      Trace.event t.trace ~time ~severity:Trace.Warn ~component:span.Span.component
-        ~kind:"span.abandoned"
-        [ ("span", string_of_int span.Span.id); ("name", span.Span.name) ];
+    if not t.lightweight then Trace.span_abandoned t.trace ~time span;
     span_finish t ~time ~outcome:"abandoned" span
   end
 

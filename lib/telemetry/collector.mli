@@ -51,10 +51,15 @@ val wants_events : t -> bool
     with [with_context]); [span_finish] closes it, records a [span.end]
     trace event and feeds the duration into the
     ["span.<name>.seconds"] histogram. Both are idempotent-safe:
-    finishing a closed span is a no-op. *)
+    finishing a closed span is a no-op.
+
+    [attrs] extends the [span.begin] event. It is a thunk, forced only
+    when a full-mode trace is read (never in lightweight mode), so it
+    should capture immutable values only: forcing it late must give the
+    list it would have given at [span_begin]. *)
 
 val span_begin :
-  t -> ?time:float -> ?parent:int -> ?attrs:(string * string) list ->
+  t -> ?time:float -> ?parent:int -> ?attrs:(unit -> (string * string) list) ->
   component:string -> string -> Span.t
 
 val span_finish : t -> ?time:float -> ?outcome:string -> Span.t -> unit

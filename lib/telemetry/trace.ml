@@ -2,8 +2,15 @@
    attrs} records stamped with *simulation* time, with severity filtering
    at record time and a JSONL dump. When the ring is full the oldest event
    is dropped and counted — the dump always says how much history it is
-   missing. *)
+   missing.
 
+   Span events are the bulk of a full trace (two or three per span, one
+   span per packet), so the ring stores them as the fields copied out of
+   the span — ints, floats, strings the span already holds, and an attrs
+   thunk — in parallel arrays, and renders them to {!event}s only when
+   the trace is read. Recording one allocates nothing once the arrays
+   have grown, and keeps nothing alive that the rendered strings would
+   have cost. *)
 type severity = Debug | Info | Warn | Error
 
 let severity_rank = function Debug -> 0 | Info -> 1 | Warn -> 2 | Error -> 3
@@ -29,9 +36,40 @@ type event = {
   attrs : (string * string) list;
 }
 
+type kind = Explicit | Span_begin | Span_end | Span_abandoned
+
+let no_attrs () = []
+
+let dummy_event =
+  { time = 0.0; severity = Debug; component = ""; kind = ""; attrs = [] }
+
+(* Entry [i] of the ring lives at index [i] of every array. An [Explicit]
+   entry keeps the caller's record in [explicit]. A span entry keeps the
+   span's fields in the others and its attrs as a thunk in [thunks];
+   [times] is the event's time and [starts] the span's start, so a
+   [span.end]'s duration is their difference. *)
+type slots = {
+  kinds : kind array;
+  ids : int array;
+  parents : int option array;
+  times : float array;
+  starts : float array;
+  names : string array;
+  components : string array;
+  outcomes : string array;
+  thunks : (unit -> (string * string) list) array;
+  explicit : event array;
+}
+
+let no_slots =
+  { kinds = [||]; ids = [||]; parents = [||]; times = [||]; starts = [||];
+    names = [||]; components = [||]; outcomes = [||]; thunks = [||]; explicit = [||] }
+
 type t = {
   capacity : int;
-  ring : event Queue.t;
+  mutable slots : slots;
+  mutable first : int;      (* slot of the oldest entry *)
+  mutable length : int;
   mutable level : severity;
   mutable dropped : int;    (* overwritten by ring overflow *)
   mutable filtered : int;   (* suppressed below the severity floor *)
@@ -39,31 +77,128 @@ type t = {
 
 let create ?(capacity = 8192) () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
-  { capacity; ring = Queue.create (); level = Debug; dropped = 0; filtered = 0 }
+  { capacity; slots = no_slots; first = 0; length = 0; level = Debug; dropped = 0;
+    filtered = 0 }
 
 let set_level t level = t.level <- level
 let level t = t.level
 
-let record t ev =
-  if severity_rank ev.severity < severity_rank t.level then
-    t.filtered <- t.filtered + 1
+(* The arrays start at 16 slots (or [capacity], if smaller) and double up
+   to [capacity]: most collectors (one per load client, replica, bench
+   bed) record little or nothing, and should not pay for a full ring.
+   The ring only wraps once it has reached [capacity], so storage that
+   grows holds its entries in slots [0, length). *)
+let grow t =
+  let s = t.slots in
+  let size = Array.length s.kinds in
+  let size' = if size = 0 then min 16 t.capacity else min (2 * size) t.capacity in
+  let resize a fill =
+    let b = Array.make size' fill in
+    Array.blit a 0 b 0 size;
+    b
+  in
+  t.slots <-
+    { kinds = resize s.kinds Explicit; ids = resize s.ids 0;
+      parents = resize s.parents None; times = resize s.times 0.0;
+      starts = resize s.starts 0.0; names = resize s.names "";
+      components = resize s.components ""; outcomes = resize s.outcomes "";
+      thunks = resize s.thunks no_attrs; explicit = resize s.explicit dummy_event }
+
+(* The slot for a new entry. Until the ring is full, entries fill slots
+   [0, length) in order; from then on each overwrites the oldest. *)
+let next_slot t =
+  if t.length = Array.length t.slots.kinds && t.length < t.capacity then grow t;
+  if t.length < Array.length t.slots.kinds then begin
+    t.length <- t.length + 1;
+    t.length - 1
+  end
   else begin
-    if Queue.length t.ring >= t.capacity then begin
-      ignore (Queue.pop t.ring);
-      t.dropped <- t.dropped + 1
-    end;
-    Queue.push ev t.ring
+    let slot = t.first in
+    t.first <- (if slot + 1 = t.capacity then 0 else slot + 1);
+    t.dropped <- t.dropped + 1;
+    slot
   end
 
-let event t ~time ?(severity = Info) ~component ~kind attrs =
-  record t { time; severity; component; kind; attrs }
+let admits t severity =
+  if severity_rank severity < severity_rank t.level then begin
+    t.filtered <- t.filtered + 1;
+    false
+  end
+  else true
 
-let events t = List.of_seq (Queue.to_seq t.ring)
-let length t = Queue.length t.ring
+(* An explicit record and an attrs thunk are the references that can
+   hold the most, so each writer clears the other kind's: an overwritten
+   entry keeps neither alive. *)
+let record t ev =
+  if admits t ev.severity then begin
+    let slot = next_slot t and s = t.slots in
+    s.kinds.(slot) <- Explicit;
+    s.explicit.(slot) <- ev;
+    s.thunks.(slot) <- no_attrs
+  end
+
+let record_span t kind severity ~time ~attrs (span : Span.t) =
+  if admits t severity then begin
+    let slot = next_slot t and s = t.slots in
+    if s.kinds.(slot) = Explicit then s.explicit.(slot) <- dummy_event;
+    s.kinds.(slot) <- kind;
+    s.ids.(slot) <- span.Span.id;
+    s.parents.(slot) <- span.Span.parent;
+    s.times.(slot) <- time;
+    s.starts.(slot) <- span.Span.start_time;
+    s.names.(slot) <- span.Span.name;
+    s.components.(slot) <- span.Span.component;
+    s.outcomes.(slot) <- span.Span.outcome;
+    s.thunks.(slot) <- attrs
+  end
+
+let span_begin t ~attrs span =
+  record_span t Span_begin Debug ~time:span.Span.start_time ~attrs span
+
+let span_end t ~time span = record_span t Span_end Debug ~time ~attrs:no_attrs span
+
+let span_abandoned t ~time span =
+  record_span t Span_abandoned Warn ~time ~attrs:no_attrs span
+
+(* A span entry as the event a reader sees. The attrs' order and the
+   three-decimal duration are the dump format, which the tests pin by
+   digest. *)
+let render s slot =
+  let span_event kind severity attrs =
+    { time = s.times.(slot); severity; component = s.components.(slot); kind;
+      attrs = ("span", string_of_int s.ids.(slot)) :: ("name", s.names.(slot)) :: attrs }
+  in
+  match s.kinds.(slot) with
+  | Explicit -> s.explicit.(slot)
+  | Span_begin ->
+      span_event "span.begin" Debug
+        ((match s.parents.(slot) with
+         | Some p -> [ ("parent", string_of_int p) ]
+         | None -> [])
+        @ s.thunks.(slot) ())
+  | Span_end ->
+      let duration = s.times.(slot) -. s.starts.(slot) in
+      span_event "span.end" Debug
+        [ ("outcome", s.outcomes.(slot));
+          ("duration_ms", Printf.sprintf "%.3f" (duration *. 1000.0)) ]
+  | Span_abandoned -> span_event "span.abandoned" Warn []
+
+(* The [i]th entry, oldest first. *)
+let nth t i =
+  let size = Array.length t.slots.kinds in
+  let slot = t.first + i in
+  render t.slots (if slot >= size then slot - size else slot)
+
+let events t = List.init t.length (nth t)
+
+let length t = t.length
 let dropped t = t.dropped
+let filtered t = t.filtered
 
 let clear t =
-  Queue.clear t.ring;
+  t.slots <- no_slots;
+  t.first <- 0;
+  t.length <- 0;
   t.dropped <- 0;
   t.filtered <- 0
 
@@ -109,11 +244,10 @@ let to_jsonl t =
                Json.Obj [ ("dropped_events", Json.Str (string_of_int t.dropped)) ]) ]));
     Buffer.add_char b '\n'
   end;
-  Queue.iter
-    (fun ev ->
-      Buffer.add_string b (Json.to_string (event_to_json ev));
-      Buffer.add_char b '\n')
-    t.ring;
+  for i = 0 to t.length - 1 do
+    Buffer.add_string b (Json.to_string (event_to_json (nth t i)));
+    Buffer.add_char b '\n'
+  done;
   Buffer.contents b
 
 let of_jsonl s =

@@ -1,7 +1,11 @@
 (** Structured trace/event log: a bounded ring of events stamped with
     {e simulation} time, severity-filtered at record time, dumped as JSONL
     (one JSON object per line; a leading [trace.truncated] record reports
-    ring overflow). *)
+    ring overflow).
+
+    Span events are stored as the span's fields and rendered to {!event}s
+    only when the trace is read ({!events}, {!to_jsonl}); the ring grows
+    on demand up to its capacity. *)
 
 type severity = Debug | Info | Warn | Error
 
@@ -19,7 +23,8 @@ type event = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** Ring capacity defaults to 8192 events.
+(** Ring capacity defaults to 8192 events. Storage starts at 16 entries
+    and doubles as needed up to the capacity.
     @raise Invalid_argument on non-positive capacity. *)
 
 val set_level : t -> severity -> unit
@@ -28,15 +33,34 @@ val set_level : t -> severity -> unit
 
 val level : t -> severity
 val record : t -> event -> unit
-val event :
-  t -> time:float -> ?severity:severity -> component:string -> kind:string ->
-  (string * string) list -> unit
+
+(** {2 Span events}
+
+    Recorded from {!Collector}'s span lifecycle. Each copies the span's
+    id, parent, start time, name, component and outcome at the call; the
+    attribute strings are built when the trace is read, so [attrs] must
+    give the same list whenever it is forced. *)
+
+val span_begin : t -> attrs:(unit -> (string * string) list) -> Span.t -> unit
+(** A [Debug] ["span.begin"] at the span's start time, with attrs [span],
+    [name], [parent] (when nested), then [attrs ()]. *)
+
+val span_end : t -> time:float -> Span.t -> unit
+(** A [Debug] ["span.end"] with attrs [span], [name], [outcome] and
+    [duration_ms] (three decimals). *)
+
+val span_abandoned : t -> time:float -> Span.t -> unit
+(** A [Warn] ["span.abandoned"] with attrs [span] and [name]. *)
 
 val events : t -> event list
 (** Chronological (oldest first). *)
 
 val length : t -> int
 val dropped : t -> int
+
+val filtered : t -> int
+(** Events suppressed below the severity floor. *)
+
 val clear : t -> unit
 
 val event_to_json : event -> Json.t

@@ -299,6 +299,21 @@ let net_adversary_spoof () =
   Alcotest.(check (option string)) "spoofed source accepted" (Some "192.168.9.9")
     (Option.map Addr.to_string !from)
 
+(* Under a lightweight collector the net's own event ring records notes
+   only; adversarial injection is no exception. *)
+let net_inject_lightweight () =
+  let eng = Engine.create () in
+  let net = Net.create ~telemetry:(Telemetry.Collector.create ~lightweight:true ()) eng in
+  let b = Host.create ~name:"beta" ~ips:[ Addr.of_quad 10 0 0 2 ] () in
+  Net.attach net b;
+  Net.listen net b ~port:100 ignore;
+  Net.inject net
+    { Packet.src = Addr.of_quad 192 168 9 9; sport = 7; dst = Host.primary_ip b;
+      dport = 100; payload = Bytes.of_string "boo"; uid = 0 };
+  Engine.run eng;
+  Alcotest.(check int) "no events kept" 0 (List.length (Net.events net));
+  Alcotest.(check int) "none recorded" 0 (Net.event_count net)
+
 let net_tap_capture () =
   let eng, net, a, b = mk_net () in
   let adv = Adversary.attach net in
@@ -488,6 +503,8 @@ let suite_net =
     Alcotest.test_case "interceptor" `Quick net_interceptor;
     Alcotest.test_case "adversary spoof" `Quick net_adversary_spoof;
     Alcotest.test_case "tap capture" `Quick net_tap_capture;
+    Alcotest.test_case "inject records nothing when lightweight" `Quick
+      net_inject_lightweight;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
     Alcotest.test_case "rpc retransmission" `Quick rpc_timeout_and_retry;
     Alcotest.test_case "rpc backoff jitter within seeded bounds" `Quick

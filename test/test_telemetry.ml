@@ -104,6 +104,108 @@ let jsonl_round_trip () =
       List.iter (T.Trace.record tr') evs;
       Alcotest.(check string) "dump(parse(dump)) = dump" dump (T.Trace.to_jsonl tr')
 
+(* One mixed stream of explicit and span events, replayed into a
+   collector of each capacity. [advance] moves the clock by a binary
+   fraction, so the dump's times parse back exactly. The ring must hold
+   the stream's last [capacity] events, oldest first, however often its
+   storage grew. *)
+let mixed_stream tel =
+  let clock = ref 0.0 in
+  T.Collector.set_clock tel (fun () -> !clock);
+  let advance () = clock := !clock +. 0.125 in
+  let outer = T.Collector.span_begin tel ~component:"c" "outer" in
+  for i = 1 to 30 do
+    T.Collector.event tel ~component:"test" ~kind:"tick" [ ("i", string_of_int i) ];
+    let s =
+      T.Collector.with_context tel outer (fun () ->
+          T.Collector.span_begin tel ~component:"c"
+            ~attrs:(fun () -> [ ("i", string_of_int i) ])
+            "step")
+    in
+    advance ();
+    if i mod 7 = 0 then T.Collector.span_abandon tel s
+    else T.Collector.span_finish tel ~outcome:(if i mod 2 = 0 then "ok" else "odd") s
+  done;
+  T.Collector.span_finish tel outer
+
+let ring_order_across_capacities () =
+  let reference = T.Collector.create () in
+  mixed_stream reference;
+  let all = T.Trace.events (T.Collector.trace reference) in
+  let total = List.length all in
+  Alcotest.(check int) "reference kept everything" 0
+    (T.Trace.dropped (T.Collector.trace reference));
+  let all_lines =
+    String.split_on_char '\n' (T.Collector.trace_jsonl reference)
+    |> List.filter (( <> ) "")
+  in
+  let drop n l = List.filteri (fun i _ -> i >= n) l in
+  List.iter
+    (fun capacity ->
+      let tel = T.Collector.create ~trace_capacity:capacity () in
+      mixed_stream tel;
+      let tr = T.Collector.trace tel in
+      let name what = Printf.sprintf "capacity %d: %s" capacity what in
+      Alcotest.(check int) (name "length") capacity (T.Trace.length tr);
+      Alcotest.(check int) (name "dropped") (total - capacity) (T.Trace.dropped tr);
+      Alcotest.(check bool) (name "newest events, oldest first") true
+        (T.Trace.events tr = drop (total - capacity) all);
+      match String.split_on_char '\n' (T.Collector.trace_jsonl tel) |> List.filter (( <> ) "") with
+      | marker :: lines ->
+          Alcotest.(check bool) (name "truncation marker") true
+            (Astring.String.is_infix ~affix:"\"trace.truncated\"" marker
+            && Astring.String.is_infix
+                 ~affix:(Printf.sprintf "\"dropped_events\":\"%d\"" (total - capacity))
+                 marker);
+          Alcotest.(check (list string)) (name "dump lines") (drop (total - capacity) all_lines)
+            lines
+      | [] -> Alcotest.fail (name "empty dump"))
+    [ 1; 3; 40 ]
+
+(* Span begin/end events are Debug: an Info floor filters and counts
+   them, while an abandonment (Warn) and Info events still land. *)
+let span_events_filtered () =
+  let tel = T.Collector.create () in
+  let tr = T.Collector.trace tel in
+  T.Trace.set_level tr T.Trace.Info;
+  let spans = List.init 4 (fun _ -> T.Collector.span_begin tel ~component:"c" "s") in
+  List.iteri
+    (fun i s ->
+      if i = 0 then T.Collector.span_abandon tel s else T.Collector.span_finish tel s)
+    spans;
+  T.Collector.event tel ~component:"c" ~kind:"note" [];
+  Alcotest.(check (list string)) "stored kinds" [ "span.abandoned"; "note" ]
+    (List.map (fun e -> e.T.Trace.kind) (T.Trace.events tr));
+  Alcotest.(check int) "filtered: 4 begins, 4 ends" 8 (T.Trace.filtered tr)
+
+let clear_then_reuse () =
+  let tel = T.Collector.create ~trace_capacity:20 () in
+  mixed_stream tel;
+  let tr = T.Collector.trace tel in
+  T.Trace.clear tr;
+  Alcotest.(check int) "empty" 0 (T.Trace.length tr);
+  Alcotest.(check int) "drop count reset" 0 (T.Trace.dropped tr);
+  Alcotest.(check string) "empty dump" "" (T.Trace.to_jsonl tr);
+  let s = T.Collector.span_begin tel ~component:"c" "again" in
+  T.Collector.span_finish tel s;
+  Alcotest.(check (list string)) "reused" [ "span.begin"; "span.end" ]
+    (List.map (fun e -> e.T.Trace.kind) (T.Trace.events tr))
+
+(* Span events parse back from their JSONL to the events [events] gives,
+   and re-record to the same dump. *)
+let span_jsonl_round_trip () =
+  let tel = T.Collector.create () in
+  mixed_stream tel;
+  let tr = T.Collector.trace tel in
+  let dump = T.Trace.to_jsonl tr in
+  match T.Trace.of_jsonl dump with
+  | Error e -> Alcotest.failf "of_jsonl: %s" e
+  | Ok evs ->
+      Alcotest.(check bool) "parsed = events" true (evs = T.Trace.events tr);
+      let tr' = T.Trace.create () in
+      List.iter (T.Trace.record tr') evs;
+      Alcotest.(check string) "dump(parse(dump)) = dump" dump (T.Trace.to_jsonl tr')
+
 (* --- span lifecycle -------------------------------------------------- *)
 
 let span_lifecycle () =
@@ -388,6 +490,109 @@ let replay_cache_stats () =
   Alcotest.(check int) "inserts" 2 (Replay_cache.inserts c);
   Alcotest.(check int) "hits" 1 (Replay_cache.hits c)
 
+(* --- allocation on a full-mode collector ----------------------------- *)
+
+(* Minor words per call of [f], averaged over [n] calls. Each test first
+   fills the 8192-event ring, so the measured calls overwrite, as in a
+   long traced run. *)
+let words_per ~n f =
+  let before = Gc.minor_words () in
+  for _ = 1 to n do f () done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let span_allocation () =
+  let tel = T.Collector.create () in
+  let cycle () =
+    T.Collector.span_finish tel (T.Collector.span_begin tel ~component:"c" "step")
+  in
+  for _ = 1 to 8192 do cycle () done;
+  let words = words_per ~n:1000 cycle in
+  Alcotest.(check bool)
+    (Printf.sprintf "span begin+finish: %.0f words (< 60)" words)
+    true (words < 60.0)
+
+let packet_allocation () =
+  let eng = Sim.Engine.create () in
+  let net = Sim.Net.create ~telemetry:(T.Collector.create ()) eng in
+  let a = Sim.Host.create ~name:"a" ~ips:[ Sim.Addr.of_quad 10 0 0 1 ] () in
+  let b = Sim.Host.create ~name:"b" ~ips:[ Sim.Addr.of_quad 10 0 0 2 ] () in
+  Sim.Net.attach net a;
+  Sim.Net.attach net b;
+  Sim.Net.listen net b ~port:100 ignore;
+  let payload = Bytes.make 64 'x' in
+  let send () =
+    Sim.Net.send net ~sport:5000 ~dst:(Sim.Host.primary_ip b) ~dport:100 a payload;
+    Sim.Engine.run eng
+  in
+  for _ = 1 to 8192 do send () done;
+  let words = words_per ~n:1000 send in
+  Alcotest.(check bool)
+    (Printf.sprintf "one packet sent and delivered: %.0f words (< 250)" words)
+    true (words < 250.0)
+
+(* --- golden trace digests ------------------------------------------ *)
+
+(* Seeded Attacks.Testbed sessions (login, service ticket, AP exchange,
+   one call_priv) traced by a fresh default collector. [drop_every] > 0
+   drops every n-th packet at the interceptor, which exercises the drop
+   path and the spans the engine abandons when it drains. *)
+let testbed_trace ?(drop_every = 0) profile ~sessions =
+  let tel = T.Collector.fresh_default () in
+  let tb = Attacks.Testbed.make ~seed:7L ~profile () in
+  let net = tb.Attacks.Testbed.net in
+  if drop_every > 0 then begin
+    let seen = ref 0 in
+    Sim.Net.set_interceptor net (fun _ ->
+        incr seen;
+        if !seen mod drop_every = 0 then Sim.Net.Drop else Sim.Net.Deliver)
+  end;
+  let handheld =
+    match profile.Profile.login with
+    | Profile.Handheld_challenge ->
+        Some
+          (Hardened.Handheld.respond
+             (Hardened.Handheld.enroll ~password:tb.Attacks.Testbed.victim_password))
+    | _ -> None
+  in
+  let c = tb.Attacks.Testbed.victim in
+  for _ = 1 to sessions do
+    Client.login c ?handheld ~password:tb.Attacks.Testbed.victim_password (function
+      | Error _ -> ()
+      | Ok _ ->
+          Client.get_ticket c ~service:tb.Attacks.Testbed.file_principal (function
+            | Error _ -> ()
+            | Ok creds ->
+                Client.ap_exchange c creds
+                  ~dst:(Sim.Host.primary_ip tb.Attacks.Testbed.file_host)
+                  ~dport:tb.Attacks.Testbed.file_port (function
+                  | Error _ -> ()
+                  | Ok chan ->
+                      Client.call_priv c chan (Bytes.of_string "LIST") ~k:ignore)));
+    Attacks.Testbed.run tb
+  done;
+  let tr = T.Collector.trace tel in
+  (Digest.to_hex (Digest.string (T.Collector.trace_jsonl tel)),
+   T.Trace.length tr, T.Trace.dropped tr)
+
+let check_golden name (digest, length, dropped) (digest', length', dropped') =
+  Alcotest.(check int) (name ^ ": length") length length';
+  Alcotest.(check int) (name ^ ": dropped") dropped dropped';
+  Alcotest.(check string) (name ^ ": trace_jsonl digest") digest digest'
+
+(* The constants pin the dumps of the record-time rendering that span
+   events had before they were stored as fields: how events are stored
+   must never move a byte of what is read. *)
+let golden_digests () =
+  check_golden "hardened x3"
+    ("5815e7dd50423090039a55951b7c6320", 147, 0)
+    (testbed_trace Profile.hardened ~sessions:3);
+  check_golden "v4, every 13th packet dropped"
+    ("c046103ad778f6a340ff2d6bb07b1115", 113, 0)
+    (testbed_trace ~drop_every:13 Profile.v4 ~sessions:3);
+  check_golden "hardened, ring overflow"
+    ("1f958fab6cdb390457afeeeca8503070", 8192, 1608)
+    (testbed_trace Profile.hardened ~sessions:200)
+
 let () =
   Alcotest.run "telemetry"
     [ ( "metrics",
@@ -398,7 +603,11 @@ let () =
         [ Alcotest.test_case "round trip" `Quick json_round_trip ] );
       ( "trace",
         [ Alcotest.test_case "ring and severity filter" `Quick trace_ring_and_filter;
-          Alcotest.test_case "jsonl round trip" `Quick jsonl_round_trip ] );
+          Alcotest.test_case "jsonl round trip" `Quick jsonl_round_trip;
+          Alcotest.test_case "order across capacities" `Quick ring_order_across_capacities;
+          Alcotest.test_case "span events filtered" `Quick span_events_filtered;
+          Alcotest.test_case "clear then reuse" `Quick clear_then_reuse;
+          Alcotest.test_case "span jsonl round trip" `Quick span_jsonl_round_trip ] );
       ( "spans",
         [ Alcotest.test_case "lifecycle" `Quick span_lifecycle;
           Alcotest.test_case "engine settles leaks" `Quick engine_settles_leaked_spans ] );
@@ -409,4 +618,9 @@ let () =
           Alcotest.test_case "deterministic dumps" `Quick deterministic_dumps;
           Alcotest.test_case "export schema" `Quick export_schema;
           Alcotest.test_case "kdc counter regression" `Quick kdc_counter_regression;
-          Alcotest.test_case "replay cache stats" `Quick replay_cache_stats ] ) ]
+          Alcotest.test_case "replay cache stats" `Quick replay_cache_stats ] );
+      ( "alloc",
+        [ Alcotest.test_case "span begin and finish" `Quick span_allocation;
+          Alcotest.test_case "packet send and delivery" `Quick packet_allocation ] );
+      ( "golden",
+        [ Alcotest.test_case "trace digests" `Quick golden_digests ] ) ]
