@@ -27,6 +27,9 @@ let iv = Util.Rng.bytes rng 8
 let t_des_block =
   Test.make ~name:"des/encrypt-block" (Staged.stage (fun () -> Crypto.Des.encrypt_block sched block8))
 
+let t_des_schedule =
+  Test.make ~name:"des/key-schedule" (Staged.stage (fun () -> Crypto.Des.schedule des_key))
+
 let t_ecb_1k =
   Test.make ~name:"des/ecb-1KiB" (Staged.stage (fun () -> Crypto.Mode.ecb_encrypt sched buf1k))
 
@@ -895,7 +898,7 @@ let docs_check () =
 
 let tests =
   Test.make_grouped ~name:"kerblim"
-    [ t_des_block; t_ecb_1k; t_cbc_1k; t_pcbc_1k; t_md4_1k; t_crc_1k; t_crc_forge;
+    [ t_des_block; t_des_schedule; t_ecb_1k; t_cbc_1k; t_pcbc_1k; t_md4_1k; t_crc_1k; t_crc_forge;
       t_str2key; t_guess; t_modexp_31; t_modexp_127; t_modexp_521; t_cache;
       t_kdb_add; t_kdb_add_wal; t_session_v4; t_session_v5; t_session_hardened; t_faults_none;
       t_faults_inert; t_faults_jitter; t_login_password;

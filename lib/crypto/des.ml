@@ -4,9 +4,10 @@
    The hot path is table-driven: the per-round S-box and P permutations are
    fused into eight 64-entry SP tables of 32-bit words, the E expansion is a
    shift/mask window over a 34-bit rotation of R, and IP/FP are the classic
-   five-step Hoey/Kwan bit-swap networks. The original permute-per-round
-   implementation is kept in [Reference] as the oracle the fast path is
-   property-tested against. *)
+   five-step Hoey/Kwan bit-swap networks. The key schedule ORs PC1 and PC2
+   out of slice-indexed tables. The original permute-per-round
+   implementation, key schedule included, is kept in [Reference] as the
+   oracle the fast path is property-tested against. *)
 
 let initial_permutation =
   [| 58; 50; 42; 34; 26; 18; 10; 2;
@@ -114,8 +115,8 @@ let sboxes =
 
 (* [permute table width x]: [x] holds a [width]-bit value right-aligned; the
    result has [Array.length table] bits, where output bit i (1-based from the
-   MSB) is input bit [table.(i-1)]. Used by the key schedule and [Reference];
-   the block hot path never calls it. *)
+   MSB) is input bit [table.(i-1)]. Used to build the schedule tables and by
+   [Reference]; neither hot path calls it. *)
 let permute table width x =
   let out_width = Array.length table in
   let out = ref 0L in
@@ -138,23 +139,50 @@ let schedules_performed () = !schedules
 let blocks = ref 0
 let blocks_performed () = !blocks
 
+(* --- schedule tables -----------------------------------------------------
+
+   PC1 and PC2 only move bits, so each is the OR of what it does to disjoint
+   slices of its input. [pc1_table.((b lsl 8) lor v)] is PC1 of the key whose
+   byte [b] is [v] and whose other bytes are zero. [pc2_table.((j lsl 7) lor
+   v)] is PC2 of the 56-bit CD whose [j]-th 7-bit chunk from the MSB is [v]
+   (chunks 0-3 are C, 4-7 are D). [permute] fills both, so they agree with
+   the FIPS tables by construction. Every index is a slice number shifted
+   over a masked slice value, so the unsafe gets stay in bounds. *)
+let pc1_table =
+  Array.init (8 * 256) (fun i ->
+      let b = i lsr 8 and v = i land 0xFF in
+      Int64.to_int (permute pc1 64 (Int64.shift_left (Int64.of_int v) (56 - (8 * b)))))
+
+let pc2_table =
+  Array.init (8 * 128) (fun i ->
+      let j = i lsr 7 and v = i land 0x7F in
+      Int64.to_int (permute pc2 56 (Int64.of_int (v lsl (49 - (7 * j))))))
+
+(* PC2's share from one 28-bit half; [base] is the table offset of the
+   half's first chunk (0 for C, 512 for D). *)
+let pc2_half base x =
+  Array.unsafe_get pc2_table (base lor ((x lsr 21) land 0x7F))
+  lor Array.unsafe_get pc2_table ((base + 128) lor ((x lsr 14) land 0x7F))
+  lor Array.unsafe_get pc2_table ((base + 256) lor ((x lsr 7) land 0x7F))
+  lor Array.unsafe_get pc2_table ((base + 384) lor (x land 0x7F))
+
 let schedule k =
   if Bytes.length k <> 8 then invalid_arg "Des.schedule: key must be 8 bytes";
   incr schedules;
-  let k64 = Bytes.get_int64_be k 0 in
-  let cd = Int64.to_int (permute pc1 64 k64) in
-  let c = ref ((cd lsr 28) land 0xFFFFFFF) in
-  let d = ref (cd land 0xFFFFFFF) in
-  let subkeys =
-    Array.map
-      (fun rot ->
-        c := rotl28 !c rot;
-        d := rotl28 !d rot;
-        let merged = Int64.of_int ((!c lsl 28) lor !d) in
-        Int64.to_int (permute pc2 56 merged))
-      rotations
-  in
-  let subkeys_rev = Array.init 16 (fun i -> subkeys.(15 - i)) in
+  let cd = ref 0 in
+  for b = 0 to 7 do
+    cd := !cd lor Array.unsafe_get pc1_table ((b lsl 8) lor Bytes.get_uint8 k b)
+  done;
+  let c = ref (!cd lsr 28) and d = ref (!cd land 0xFFFFFFF) in
+  let subkeys = Array.make 16 0 and subkeys_rev = Array.make 16 0 in
+  for i = 0 to 15 do
+    let rot = rotations.(i) in
+    c := rotl28 !c rot;
+    d := rotl28 !d rot;
+    let sk = pc2_half 0 !c lor pc2_half 512 !d in
+    subkeys.(i) <- sk;
+    subkeys_rev.(15 - i) <- sk
+  done;
   { subkeys; subkeys_rev; raw = Bytes.copy k }
 
 let key_bytes k = Bytes.copy k.raw
@@ -288,6 +316,25 @@ module Reference = struct
      component per round. Kept verbatim as the semantic anchor for the
      table-driven path above. *)
 
+  let schedule k =
+    if Bytes.length k <> 8 then
+      invalid_arg "Des.Reference.schedule: key must be 8 bytes";
+    let k64 = Bytes.get_int64_be k 0 in
+    let cd = Int64.to_int (permute pc1 64 k64) in
+    let c = ref ((cd lsr 28) land 0xFFFFFFF) in
+    let d = ref (cd land 0xFFFFFFF) in
+    let subkeys =
+      Array.map
+        (fun rot ->
+          c := rotl28 !c rot;
+          d := rotl28 !d rot;
+          let merged = Int64.of_int ((!c lsl 28) lor !d) in
+          Int64.to_int (permute pc2 56 merged))
+        rotations
+    in
+    let subkeys_rev = Array.init 16 (fun i -> subkeys.(15 - i)) in
+    { subkeys; subkeys_rev; raw = Bytes.copy k }
+
   let f_function r subkey =
     let e = Int64.logxor (permute expansion 32 r) subkey in
     let out = ref 0L in
@@ -324,33 +371,45 @@ module Reference = struct
   let decrypt_block key block = crypt_block (fun i -> 15 - i) key block
 end
 
-let fix_parity k =
-  let out = Bytes.copy k in
-  for i = 0 to Bytes.length out - 1 do
-    let c = Char.code (Bytes.get out i) in
-    let ones = ref 0 in
-    for bit = 1 to 7 do
-      if (c lsr bit) land 1 = 1 then incr ones
-    done;
-    (* Odd parity: low bit completes an odd popcount. *)
-    let low = if !ones mod 2 = 0 then 1 else 0 in
-    Bytes.set out i (Char.chr ((c land 0xFE) lor low))
+(* [parity_table.[c]] is byte [c] with its low bit set so that the byte
+   has odd parity, the DES key convention. *)
+let parity_table =
+  String.init 256 (fun c ->
+      let ones = ref 0 in
+      for bit = 1 to 7 do
+        if (c lsr bit) land 1 = 1 then incr ones
+      done;
+      Char.chr ((c land 0xFE) lor (if !ones mod 2 = 0 then 1 else 0)))
+
+let fix_parity k = Bytes.map (fun c -> String.unsafe_get parity_table (Char.code c)) k
+
+(* The 56 key bits of an 8-byte key: the top seven bits of each byte, MSB
+   first. Parity bits play no part, so two keys that differ only in parity
+   map to the same int. *)
+let key_bits k =
+  let v = ref 0 in
+  for i = 0 to 7 do
+    v := (!v lsl 7) lor (Bytes.get_uint8 k i lsr 1)
   done;
-  out
+  !v
 
-let weak_keys =
-  List.map Util.Bytesutil.of_hex
-    [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
-      "1f1f1f1f0e0e0e0e";
-      (* semi-weak pairs *)
-      "011f011f010e010e"; "1f011f010e010e01"; "01e001e001f101f1";
-      "e001e001f101f101"; "01fe01fe01fe01fe"; "fe01fe01fe01fe01";
-      "1fe01fe00ef10ef1"; "e01fe01ff10ef10e"; "1ffe1ffe0efe0efe";
-      "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe"; "fee0fee0fef1fef1" ]
+let weak_bits =
+  Array.of_list
+    (List.map
+       (fun h -> key_bits (Util.Bytesutil.of_hex h))
+       [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
+         "1f1f1f1f0e0e0e0e";
+         (* semi-weak pairs *)
+         "011f011f010e010e"; "1f011f010e010e01"; "01e001e001f101f1";
+         "e001e001f101f101"; "01fe01fe01fe01fe"; "fe01fe01fe01fe01";
+         "1fe01fe00ef10ef1"; "e01fe01ff10ef10e"; "1ffe1ffe0efe0efe";
+         "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe"; "fee0fee0fef1fef1" ])
 
-let is_weak k =
-  let k = fix_parity k in
-  List.exists (fun w -> Bytes.equal w k) weak_keys
+let rec weak_from bits i =
+  i < Array.length weak_bits && (weak_bits.(i) = bits || weak_from bits (i + 1))
+
+(* Only 8-byte keys can equal a weak key. *)
+let is_weak k = Bytes.length k = 8 && weak_from (key_bits k) 0
 
 let rec random_key rng =
   let k = fix_parity (Util.Rng.bytes rng 8) in
@@ -358,9 +417,9 @@ let rec random_key rng =
 
 (* --- schedule cache ------------------------------------------------------
 
-   [schedule (fix_parity k)] costs two bit-by-bit permutes plus sixteen
-   rotate-and-permute rounds — far more than enciphering the short messages
-   Kerberos actually sends. Long-lived keys (principal keys, session keys,
+   [schedule (fix_parity k)] costs eight PC1 lookups and sixteen rounds of
+   eight PC2 lookups, plus the 41 words of the schedule itself — about as
+   much as enciphering a block. Long-lived keys (principal keys, session keys,
    the TGS key) are scheduled over and over at every sealing site, so a
    small memo table keyed on the raw key bytes removes the work entirely.
    The cache is semantically invisible: a hit returns a schedule equal to
@@ -372,8 +431,11 @@ let cache : (string, key) Hashtbl.t = Hashtbl.create 1024
 
 (* Beyond this the workload is churning through one-shot keys and memoizing
    stops paying; dropping the table keeps memory bounded at ~
-   [max_cache_entries * (2 schedules + raw)] and correctness is unaffected. *)
-let max_cache_entries = 65_536
+   [max_cache_entries * (2 schedules + raw)] and correctness is unaffected.
+   An entry holds ~48 words, so one-shot session keys filling a larger table
+   would keep megabytes alive for the major GC to walk, while a miss costs
+   only one table-driven schedule. *)
+let max_cache_entries = 4_096
 
 let set_schedule_cache on =
   cache_enabled := on;

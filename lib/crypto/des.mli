@@ -4,9 +4,10 @@
     Blocks and keys are 8 bytes. The hot path is table-driven — the S-box
     and P permutations are fused into eight precomputed SP tables, the E
     expansion is a shift/mask window, and IP/FP are five-step bit-swap
-    networks — and is validated in the test suite against the classic NBS
-    known-answer vectors and against the bit-by-bit {!Reference}
-    implementation. *)
+    networks. The key schedule ORs PC1 and PC2 out of precomputed tables
+    indexed by key bytes and 7-bit chunks of the rotated halves. Both are
+    validated in the test suite against the classic NBS known-answer vectors
+    and against the bit-by-bit {!Reference} implementation. *)
 
 type key
 (** A scheduled key (the 16 48-bit subkeys, in both encrypt and decrypt
@@ -26,8 +27,8 @@ val key_bytes : key -> bytes
 val schedule_cached : bytes -> key
 (** [schedule_cached k] is [schedule (fix_parity k)], memoized on the raw
     key bytes. Long-lived Kerberos keys are sealed under thousands of
-    times, and the schedule dominates short-message sealing cost, so the
-    hot paths route through this. Semantically identical to rescheduling
+    times, and a schedule costs about as much as enciphering a block, so
+    the hot paths route through this. Semantically identical to rescheduling
     every time (the equivalence tests pin this); the memo table is bounded
     and dropped wholesale when full. *)
 
@@ -71,6 +72,10 @@ val encrypt_halves : key -> halves -> unit
 val decrypt_halves : key -> halves -> unit
 
 module Reference : sig
+  val schedule : bytes -> key
+  (** The key schedule computed bit by bit through PC1 and PC2. Not counted
+      by {!schedules_performed}. *)
+
   val encrypt_block : key -> bytes -> bytes
   val decrypt_block : key -> bytes -> bytes
 end
@@ -83,8 +88,9 @@ val fix_parity : bytes -> bytes
     parity, the DES key convention. *)
 
 val is_weak : bytes -> bool
-(** True for the four weak and twelve semi-weak DES keys (after parity
-    fixing). The simulated KDC rejects these when generating session keys. *)
+(** True for the four weak and twelve semi-weak DES keys (parity bits
+    ignored); false for any input that is not 8 bytes. The simulated KDC
+    rejects these when generating session keys. Allocates nothing. *)
 
 val random_key : Util.Rng.t -> bytes
 (** A fresh parity-fixed, non-weak key. *)

@@ -31,10 +31,12 @@ let fanfold password =
 let derive password =
   let base = Des.fix_parity (fanfold password) in
   let key = Des.schedule base in
-  let data = Mode.pad (Bytes.of_string password) in
-  let ct = Mode.cbc_encrypt key ~iv:base data in
-  let last = Bytes.sub ct (Bytes.length ct - 8) 8 in
-  let candidate = Des.fix_parity last in
+  (* Pad straight into one buffer and encipher it in place. *)
+  let n = String.length password in
+  let buf = Mode.create_padded n in
+  Bytes.blit_string password 0 buf 0 n;
+  Mode.cbc_encrypt_into key ~iv:base ~src:buf ~dst:buf;
+  let candidate = Des.fix_parity (Bytes.sub buf (Bytes.length buf - 8) 8) in
   if Des.is_weak candidate then
     (* V4 corrects weak keys by toggling a byte. *)
     Des.fix_parity (Util.Bytesutil.xor candidate (Util.Bytesutil.of_hex "00000000000000f0"))

@@ -79,12 +79,98 @@ let des_parity_ignored_prop =
       let k2 = Crypto.Des.schedule (Crypto.Des.fix_parity key) in
       Bytes.equal (Crypto.Des.encrypt_block k1 block) (Crypto.Des.encrypt_block k2 block))
 
+(* The bit-loop definition of odd parity the parity table must reproduce. *)
+let parity_byte c =
+  let ones = ref 0 in
+  for bit = 1 to 7 do
+    if (c lsr bit) land 1 = 1 then incr ones
+  done;
+  (c land 0xFE) lor (if !ones mod 2 = 0 then 1 else 0)
+
+let des_parity_table () =
+  for c = 0 to 255 do
+    let got = Bytes.get_uint8 (Crypto.Des.fix_parity (Bytes.make 8 (Char.chr c))) 3 in
+    if got <> parity_byte c then
+      Alcotest.failf "fix_parity of byte %02x: %02x, want %02x" c got (parity_byte c)
+  done;
+  Alcotest.(check int) "fix_parity keeps any length" 3
+    (Bytes.length (Crypto.Des.fix_parity (Bytes.make 3 'a')))
+
+let weak_hex =
+  [ "0101010101010101"; "fefefefefefefefe"; "e0e0e0e0f1f1f1f1";
+    "1f1f1f1f0e0e0e0e"; "011f011f010e010e"; "1f011f010e010e01";
+    "01e001e001f101f1"; "e001e001f101f101"; "01fe01fe01fe01fe";
+    "fe01fe01fe01fe01"; "1fe01fe00ef10ef1"; "e01fe01ff10ef10e";
+    "1ffe1ffe0efe0efe"; "fe1ffe1ffe0efe0e"; "e0fee0fef1fef1fe";
+    "fee0fee0fef1fef1" ]
+
+(* The list-based definition: parity-fix with the bit loop, then compare
+   against each weak and semi-weak key. *)
+let is_weak_by_list k =
+  let fixed = Bytes.map (fun c -> Char.chr (parity_byte (Char.code c))) k in
+  List.exists (fun h -> Bytes.equal (hex h) fixed) weak_hex
+
+(* Byte [i]'s low bit replaced by bit [i] of [pattern]. *)
+let with_parity_bits k pattern =
+  Bytes.mapi
+    (fun i c -> Char.chr ((Char.code c land 0xFE) lor ((pattern lsr i) land 1)))
+    k
+
+let des_weak_every_parity () =
+  List.iter
+    (fun h ->
+      for pattern = 0 to 255 do
+        let k = with_parity_bits (hex h) pattern in
+        if not (Crypto.Des.is_weak k) then
+          Alcotest.failf "%s is weak, but not with parity bits %02x" h pattern
+      done)
+    weak_hex;
+  Alcotest.(check bool) "short key" false (Crypto.Des.is_weak (hex "01010101"))
+
+(* Random keys, and weak keys with random parity bits and at most one key
+   bit flipped: the near misses a table or mask error would get wrong. *)
+let des_weak_matches_list =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map Bytes.of_string (string_size (return 8));
+          map3
+            (fun w pattern flip ->
+              let k = with_parity_bits (hex w) pattern in
+              (if flip < 64 && flip mod 8 <> 7 then
+                 let byte = flip / 8 in
+                 Bytes.set_uint8 k byte
+                   (Bytes.get_uint8 k byte lxor (0x80 lsr (flip mod 8))));
+              k)
+            (oneofl weak_hex) (int_bound 255) (int_bound 127) ])
+  in
+  QCheck.Test.make ~name:"is_weak matches list definition" ~count:2000
+    (QCheck.make ~print:to_hex gen)
+    (fun k -> Crypto.Des.is_weak k = is_weak_by_list k)
+
+let words_of f =
+  ignore (f ());
+  let before = Gc.minor_words () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.minor_words () -. before
+
+let des_schedule_allocation () =
+  (* The schedule itself is 41 words (two 16-entry subkey arrays, the key
+     copy and the record); the table-driven build allocates nothing else. *)
+  let k = hex "133457799bbcdff1" in
+  let words = words_of (fun () -> Crypto.Des.schedule k) in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 60" words) true (words < 60.)
+
 let suite_des =
   [ Alcotest.test_case "classic vector" `Quick des_classic;
     Alcotest.test_case "nbs variable plaintext" `Quick des_nbs_variable_plaintext;
     Alcotest.test_case "nbs variable key" `Quick des_nbs_variable_key;
     Alcotest.test_case "nbs substitution table" `Quick des_nbs_substitution;
     Alcotest.test_case "parity and weak keys" `Quick des_parity;
+    Alcotest.test_case "parity table, all bytes" `Quick des_parity_table;
+    Alcotest.test_case "weak keys, all parity bits" `Quick des_weak_every_parity;
+    QCheck_alcotest.to_alcotest des_weak_matches_list;
+    Alcotest.test_case "schedule allocation" `Quick des_schedule_allocation;
     QCheck_alcotest.to_alcotest des_parity_ignored_prop;
     QCheck_alcotest.to_alcotest des_roundtrip_prop ]
 
@@ -182,11 +268,15 @@ let block_equiv_prop =
   QCheck.Test.make ~name:"table-driven DES matches reference" ~count:300
     QCheck.(pair (bytes_of_size (Gen.return 8)) (bytes_of_size (Gen.return 8)))
     (fun (key, block) ->
-      let k = Crypto.Des.schedule key in
-      let ct = Crypto.Des.encrypt_block k block in
-      Bytes.equal ct (Crypto.Des.Reference.encrypt_block k block)
-      && Bytes.equal block (Crypto.Des.Reference.decrypt_block k ct)
-      && Bytes.equal block (Crypto.Des.decrypt_block k ct))
+      let fast = Crypto.Des.schedule key in
+      let slow = Crypto.Des.Reference.schedule key in
+      let ct = Crypto.Des.encrypt_block fast block in
+      Bytes.equal ct (Crypto.Des.Reference.encrypt_block slow block)
+      && Bytes.equal
+           (Crypto.Des.decrypt_block fast block)
+           (Crypto.Des.Reference.decrypt_block slow block)
+      && Bytes.equal block (Crypto.Des.Reference.decrypt_block slow ct)
+      && Bytes.equal block (Crypto.Des.decrypt_block fast ct))
 
 let i64_entry_points () =
   let rng = Util.Rng.create 99L in
@@ -381,8 +471,16 @@ let s2k_never_weak =
       let k = Crypto.Str2key.derive pw in
       (not (Crypto.Des.is_weak k)) && Bytes.equal k (Crypto.Des.fix_parity k))
 
+let s2k_allocation () =
+  (* Fan-fold, one schedule, one padded buffer enciphered in place, and
+     the parity-fixed last block. *)
+  let words = words_of (fun () -> Crypto.Str2key.derive "correcthorse") in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 130" words) true (words < 130.)
+
 let suite_s2k =
-  [ Alcotest.test_case "shape" `Quick s2k_shape; QCheck_alcotest.to_alcotest s2k_never_weak ]
+  [ Alcotest.test_case "shape" `Quick s2k_shape;
+    QCheck_alcotest.to_alcotest s2k_never_weak;
+    Alcotest.test_case "derive allocation" `Quick s2k_allocation ]
 
 (* ------------------------------------------------------------------ *)
 (* Checksum dispatch                                                   *)
@@ -543,10 +641,7 @@ let bignum_modpow_allocation () =
   let rng = Util.Rng.create 127L in
   let modulus = sub (shift_left one 127) one in
   let base = random rng ~bits:126 and exp = random rng ~bits:126 in
-  ignore (mod_pow ~base ~exp ~modulus);
-  let before = Gc.minor_words () in
-  ignore (Sys.opaque_identity (mod_pow ~base ~exp ~modulus));
-  let words = Gc.minor_words () -. before in
+  let words = words_of (fun () -> mod_pow ~base ~exp ~modulus) in
   Alcotest.(check bool) (Printf.sprintf "%.0f minor words < 1000" words) true (words < 1000.)
 
 let bignum_primality () =

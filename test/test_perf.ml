@@ -221,6 +221,27 @@ let lazy_matches_eager () =
   Alcotest.(check bool) "but at least the touched ones" true
     (total lazy_r.Workloads.Loadgen.shard_entries > 0)
 
+(* ------------------------------------------------------------------ *)
+(* string-to-key: every derived key pinned by digest                   *)
+(* ------------------------------------------------------------------ *)
+
+(* The keys of users 0..9,999 of a seeded population (dictionary and random
+   passwords mixed), then of passwords of every length 0..40, concatenated
+   and digested. The constant was recorded from the bit-by-bit key schedule
+   and parity code: how the schedule is computed must never move a key. *)
+let str2key_golden () =
+  let buf = Buffer.create (8 * 10_041) in
+  let add pw = Buffer.add_bytes buf (Crypto.Str2key.derive pw) in
+  for i = 0 to 9_999 do
+    add (Workloads.Passwords.user_at ~seed:1L ~weak_fraction:0.4 i)
+      .Workloads.Passwords.password
+  done;
+  for n = 0 to 40 do
+    add (String.init n (fun j -> Char.chr (32 + ((n * 7 + j * 13) mod 95))))
+  done;
+  Alcotest.(check string) "derive digest" "a9b6a6211c6b2c86a6043ef049fddeb0"
+    (Digest.to_hex (Digest.string (Buffer.contents buf)))
+
 let () =
   Alcotest.run "perf"
     [ ( "schedule-cache",
@@ -234,4 +255,6 @@ let () =
       ( "lazy-users",
         [ Alcotest.test_case "user_at index-pure" `Quick user_at_is_index_pure;
           Alcotest.test_case "kdb provider" `Quick kdb_lazy_provider;
-          Alcotest.test_case "lazy = eager" `Quick lazy_matches_eager ] ) ]
+          Alcotest.test_case "lazy = eager" `Quick lazy_matches_eager ] );
+      ( "str2key",
+        [ Alcotest.test_case "golden digest" `Quick str2key_golden ] ) ]
