@@ -250,6 +250,43 @@ let loadgen_rejects_nonsense () =
   Alcotest.(check bool) "zero shards" true
     (raises { small_cfg with Workloads.Loadgen.shards = 0 })
 
+(* ------------------------------------------------------------------ *)
+(* Golden digests: every campaign's deterministic export, pinned       *)
+(* ------------------------------------------------------------------ *)
+
+(* The determinism smokes compare two runs with each other, so a change
+   that moved every output would still pass them. These pin each
+   campaign's export to the digest of its bytes: the world-building order
+   (rng draws, host creation, registration) is part of the contract. *)
+let digest json = Digest.to_hex (Digest.string (Telemetry.Json.to_string json))
+
+let campaign_cfg =
+  { Workloads.Loadgen.default with
+    Workloads.Loadgen.users = 800; shards = 2; kdcs = 2; services = 4;
+    active_clients = 120; requests_per_client = 15; think_time = 1.0;
+    ramp = 8.0; seed = 0xD7EC7L; lightweight = true; lazy_users = true }
+
+let campaign_mix =
+  { Workloads.Attack_mix.default_mix with
+    Workloads.Attack_mix.guessers = 2; guess_tries = 12; harvesters = 2;
+    harvest_targets = 12; replayers = 2; forgers = 2; start = 16.0;
+    stagger = 1.0 }
+
+let golden name expected json () =
+  Alcotest.(check string) name expected (digest (json ()))
+
+let golden_cases =
+  let open Workloads.Loadgen in
+  [ ("run eager", "8e73ebaf981841026763816f8d8b8126", fun () -> report_to_json (run small_cfg));
+    ("run lazy", "956a9ab433d476535a25fb60dfe96ff7",
+     fun () -> report_to_json (run { small_cfg with lazy_users = true }));
+    ("run_campaign", "f25d4c6d8fb3d33e46f399e903376a5c",
+     fun () -> campaign_to_json (snd (run_campaign ~mix:campaign_mix campaign_cfg)));
+    ("run_viral default", "95bfdd884d6cc8bdddb2b2b4b0ac7e15",
+     fun () -> viral_suite_to_json (run_viral default_viral));
+    ("run_overload default", "74fa04370de83831c4ea27e82614c637",
+     fun () -> overload_suite_to_json (run_overload default_overload)) ]
+
 let () =
   Alcotest.run "load"
     [ ("ccache",
@@ -262,4 +299,9 @@ let () =
       ("loadgen",
        [ Alcotest.test_case "deterministic" `Quick loadgen_deterministic;
          Alcotest.test_case "report shape" `Quick loadgen_report_shape;
-         Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense ]) ]
+         Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense ]);
+      ("golden",
+       List.map
+         (fun (name, expected, json) ->
+           Alcotest.test_case name `Quick (golden name expected json))
+         golden_cases) ]
