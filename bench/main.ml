@@ -226,6 +226,35 @@ let t_ap_challenge =
   ap_test "challenge-response"
     { Profile.v4 with Profile.name = "v4cr"; ap_auth = Profile.Challenge_response }
 
+(* --- artifact checks shared by the smokes --- *)
+
+let contains hay needle =
+  let nl = String.length needle and sl = String.length hay in
+  let rec go i = i + nl <= sl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+(* A smoke's schema guard: exit 1 naming the first key [json] lost. *)
+let require_keys ~smoke ~file json keys =
+  List.iter
+    (fun k ->
+      if not (contains json k) then begin
+        Printf.eprintf "%s smoke: %s schema lost %s\n" smoke file k;
+        exit 1
+      end)
+    keys
+
+(* Run a seeded campaign twice: its export must serialize to the same
+   bytes both times, or the smoke exits 1 with [diverged]. Returns the
+   first run and its JSON. *)
+let run_twice ~diverged run to_json =
+  let s = run () in
+  let json = Telemetry.Json.to_string (to_json s) in
+  if not (String.equal json (Telemetry.Json.to_string (to_json (run ())))) then begin
+    prerr_endline diverged;
+    exit 1
+  end;
+  (s, json)
+
 (* --- load smoke: BENCH_load.json schema guard --- *)
 
 (* With --load-smoke, run the loadgen ablation suite at reduced traffic
@@ -241,11 +270,6 @@ let load_smoke () =
   in
   let suite = Workloads.Loadgen.run_suite cfg in
   let s = Telemetry.Json.to_string (Workloads.Loadgen.suite_to_json suite) in
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
   let required =
     [ "\"main\""; "\"cache_off\""; "\"shard_ablation\"";
       "\"tgs_reduction_factor\""; "\"config\""; "\"sim_seconds\"";
@@ -260,12 +284,7 @@ let load_smoke () =
       "\"perf_ablation\""; "\"schedule_cache\""; "\"lightweight\"";
       "\"lazy_users\""; "\"fast_path_speedup\"" ]
   in
-  List.iter
-    (fun key ->
-      if not (contains key) then (
-        Printf.eprintf "load smoke: BENCH_load.json schema lost %s\n" key;
-        exit 1))
-    required;
+  require_keys ~smoke:"load" ~file:"BENCH_load.json" s required;
   let r = suite.Workloads.Loadgen.main in
   assert (r.Workloads.Loadgen.completed > 0);
   assert (r.Workloads.Loadgen.errors = 0);
@@ -390,16 +409,7 @@ let recovery_smoke () =
   let ic = open_in recovery_json_path in
   let s = really_input_string ic (in_channel_length ic) in
   close_in ic;
-  let contains needle =
-    let nl = String.length needle and sl = String.length s in
-    let rec go i = i + nl <= sl && (String.sub s i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then (
-        Printf.eprintf "recovery smoke: BENCH_recovery.json schema lost %s\n" k;
-        exit 1))
+  require_keys ~smoke:"recovery" ~file:"BENCH_recovery.json" s
     [ "\"wal_overhead\""; "\"add_ns_no_wal\""; "\"add_ns_wal\"";
       "\"overhead_pct\""; "\"recovery_time\""; "\"wal_records\"";
       "\"applied\""; "\"replay_ms\"" ];
@@ -442,29 +452,18 @@ let detect_smoke () =
       Telemetry.Detect.warmup = 20.0; epoch = 10.0;
       max_lifetime = cfg.Workloads.Loadgen.lifetime }
   in
-  let run () = snd (Workloads.Loadgen.run_campaign ~policy ~mix cfg) in
-  let c1 = run () in
-  let c2 = run () in
-  let j1 = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json c1) in
-  let j2 = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json c2) in
-  if not (String.equal j1 j2) then (
-    Printf.eprintf
-      "detect smoke: two campaigns at the same seed serialized differently\n";
-    exit 1);
+  let c1, j1 =
+    run_twice
+      ~diverged:
+        "detect smoke: two campaigns at the same seed serialized differently"
+      (fun () -> snd (Workloads.Loadgen.run_campaign ~policy ~mix cfg))
+      Workloads.Loadgen.campaign_to_json
+  in
   let oc = open_out detect_json_path in
   output_string oc j1;
   output_char oc '\n';
   close_out oc;
-  let contains needle =
-    let nl = String.length needle and sl = String.length j1 in
-    let rec go i = i + nl <= sl && (String.sub j1 i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then (
-        Printf.eprintf "detect smoke: BENCH_detect.json schema lost %s\n" k;
-        exit 1))
+  require_keys ~smoke:"detect" ~file:"BENCH_detect.json" j1
     [ "\"config\""; "\"mix\""; "\"policy\""; "\"report\"";
       "\"detector_events\""; "\"labels\""; "\"alerts\""; "\"score\"";
       "\"classes\""; "\"password_guess\""; "\"ticket_harvest\"";
@@ -701,17 +700,7 @@ let transport_smoke () =
   let oc = open_out transport_json_path in
   output_string oc json;
   close_out oc;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf "transport smoke: BENCH_transport.json schema lost %s\n" k;
-        exit 1
-      end)
+  require_keys ~smoke:"transport" ~file:"BENCH_transport.json" json
     [ "\"udp\""; "\"tcp_fallback\""; "\"mtu\""; "\"inert_overhead\"";
       "\"reads\""; "\"completed\""; "\"p50_sim_ms\""; "\"max_sim_ms\"";
       "\"udp_calls\""; "\"tcp_calls\""; "\"fallbacks\"";
@@ -734,28 +723,12 @@ let transport_smoke () =
 let replication_smoke () =
   let open Workloads.Loadgen in
   let v = default_viral in
-  let s = run_viral v in
-  let json = Telemetry.Json.to_string (viral_suite_to_json s) in
-  let json2 =
-    Telemetry.Json.to_string (viral_suite_to_json (run_viral v))
+  let s, json =
+    run_twice
+      ~diverged:"replication smoke: re-run diverged (campaign determinism lost)"
+      (fun () -> run_viral v) viral_suite_to_json
   in
-  if not (String.equal json json2) then begin
-    prerr_endline
-      "replication smoke: re-run diverged (campaign determinism lost)";
-    exit 1
-  end;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf
-          "replication smoke: BENCH_replication.json schema lost %s\n" k;
-        exit 1
-      end)
+  require_keys ~smoke:"replication" ~file:"BENCH_replication.json" json
     [ "\"config\""; "\"calm\""; "\"unreplicated\""; "\"replicated\"";
       "\"overload_p99_ratio\""; "\"replicated_p99_ratio\"";
       "\"floor_failures\""; "\"tgs_latency\""; "\"shard_lookup_balance\"";
@@ -786,26 +759,12 @@ let replication_smoke () =
 let overload_smoke () =
   let open Workloads.Loadgen in
   let o = default_overload in
-  let s = run_overload o in
-  let json = Telemetry.Json.to_string (overload_suite_to_json s) in
-  let json2 =
-    Telemetry.Json.to_string (overload_suite_to_json (run_overload o))
+  let s, json =
+    run_twice
+      ~diverged:"overload smoke: re-run diverged (campaign determinism lost)"
+      (fun () -> run_overload o) overload_suite_to_json
   in
-  if not (String.equal json json2) then begin
-    prerr_endline "overload smoke: re-run diverged (campaign determinism lost)";
-    exit 1
-  end;
-  let contains needle =
-    let nl = String.length needle and sl = String.length json in
-    let rec go i = i + nl <= sl && (String.sub json i nl = needle || go (i + 1)) in
-    go 0
-  in
-  List.iter
-    (fun k ->
-      if not (contains k) then begin
-        Printf.eprintf "overload smoke: BENCH_overload.json schema lost %s\n" k;
-        exit 1
-      end)
+  require_keys ~smoke:"overload" ~file:"BENCH_overload.json" json
     [ "\"config\""; "\"calm\""; "\"naive\""; "\"controlled\"";
       "\"floor_failures\""; "\"goodput_baseline\""; "\"goodput_post\"";
       "\"goodput_final\""; "\"recovery_s\""; "\"windows\"";
@@ -842,11 +801,6 @@ let docs_check () =
     let s = really_input_string ic n in
     close_in ic;
     s
-  in
-  let contains hay needle =
-    let nl = String.length needle and sl = String.length hay in
-    let rec go i = i + nl <= sl && (String.sub hay i nl = needle || go (i + 1)) in
-    go 0
   in
   let problems = ref [] in
   let problem fmt = Printf.ksprintf (fun s -> problems := s :: !problems) fmt in

@@ -407,6 +407,31 @@ let print_campaign_score (score : Telemetry.Detect.score) =
     score.Telemetry.Detect.sc_benign score.Telemetry.Detect.sc_benign_flagged
     score.Telemetry.Detect.sc_false_positive_rate score.Telemetry.Detect.sc_alerts
 
+(* What a campaign command does with its JSON: with [--quick], re-run the
+   campaign and byte-compare (the same seed must serialize to the same
+   bytes); otherwise write it to [path]. Returns the failure count. *)
+let check_or_write ~quick ~what ~path json rerun =
+  if quick then
+    if String.equal json (rerun ()) then begin
+      Printf.printf
+        "\ndeterminism: re-run produced byte-identical %s JSON (%d bytes)\n"
+        what (String.length json);
+      0
+    end
+    else begin
+      print_endline "\ndeterminism: RE-RUN DIVERGED";
+      1
+    end
+  else begin
+    let oc = open_out path in
+    output_string oc json;
+    output_char oc '\n';
+    close_out oc;
+    Printf.printf "\nmachine-readable results: %s\n"
+      (Filename.concat (Sys.getcwd ()) path);
+    0
+  end
+
 let print_detect users active requests seed quick =
   let cfg, mix, policy =
     if quick then
@@ -446,30 +471,15 @@ let print_detect users active requests seed quick =
   print_string (Telemetry.Detect.report det);
   print_newline ();
   print_campaign_score campaign.Workloads.Loadgen.ca_score;
-  let json = Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign) in
-  let failures = ref 0 in
-  if quick then begin
-    (* Determinism: the same seed must serialize to the same bytes. *)
-    let _, campaign2 = Workloads.Loadgen.run_campaign ?policy ~mix cfg in
-    let json2 =
-      Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign2)
-    in
-    if String.equal json json2 then
-      Printf.printf "\ndeterminism: re-run produced byte-identical campaign JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out detect_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) detect_json_path)
-  end;
+  let json campaign =
+    Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign)
+  in
+  let failures =
+    ref
+      (check_or_write ~quick ~what:"campaign" ~path:detect_json_path
+         (json campaign) (fun () ->
+           json (snd (Workloads.Loadgen.run_campaign ?policy ~mix cfg))))
+  in
   let good = detect_floor_classes campaign.Workloads.Loadgen.ca_score in
   Printf.printf
     "detection floor: %d/%d classes at rate >= 0.9 with FPR <= 0.01 (need >= 3)\n"
@@ -538,28 +548,12 @@ let print_replicate seed quick =
     v.v_max_lag;
   let s = run_viral v in
   print_viral_rows s;
-  let json = Telemetry.Json.to_string (viral_suite_to_json s) in
-  let failures = ref 0 in
-  if quick then begin
-    let s2 = run_viral v in
-    let json2 = Telemetry.Json.to_string (viral_suite_to_json s2) in
-    if String.equal json json2 then
-      Printf.printf
-        "\ndeterminism: re-run produced byte-identical suite JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out replication_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) replication_json_path)
-  end;
+  let json s = Telemetry.Json.to_string (viral_suite_to_json s) in
+  let failures =
+    ref
+      (check_or_write ~quick ~what:"suite" ~path:replication_json_path (json s)
+         (fun () -> json (run_viral v)))
+  in
   let floor_fails = viral_floor_failures s in
   List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
   if floor_fails <> [] then incr failures;
@@ -610,28 +604,12 @@ let print_overload seed quick =
     o.o_breaker_threshold o.o_breaker_cooldown o.o_deadline;
   let s = run_overload o in
   print_overload_rows s;
-  let json = Telemetry.Json.to_string (overload_suite_to_json s) in
-  let failures = ref 0 in
-  if quick then begin
-    let s2 = run_overload o in
-    let json2 = Telemetry.Json.to_string (overload_suite_to_json s2) in
-    if String.equal json json2 then
-      Printf.printf
-        "\ndeterminism: re-run produced byte-identical suite JSON (%d bytes)\n"
-        (String.length json)
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      incr failures
-    end
-  end
-  else begin
-    let oc = open_out overload_json_path in
-    output_string oc json;
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf "\nmachine-readable results: %s\n"
-      (Filename.concat (Sys.getcwd ()) overload_json_path)
-  end;
+  let json s = Telemetry.Json.to_string (overload_suite_to_json s) in
+  let failures =
+    ref
+      (check_or_write ~quick ~what:"suite" ~path:overload_json_path (json s)
+         (fun () -> json (run_overload o)))
+  in
   let floor_fails = overload_floor_failures s in
   List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
   if floor_fails <> [] then incr failures;

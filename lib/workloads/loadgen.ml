@@ -123,60 +123,39 @@ let breakdown_of tel =
    the attack world (replay victims) and the benign scoring set. *)
 let client_addr i = Sim.Addr.of_quad 10 (2 + (i / 250)) (i mod 250) 1
 
-let run_timed ?on_world cfg =
-  validate cfg;
-  let t0 = Sys.time () in
-  (* A private collector: latency histograms and KDC counters for this run
-     only, clocked on this run's engine. Lightweight mode keeps exactly
-     the metrics the report below reads and skips the trace machinery. *)
-  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
-  let engine = Sim.Engine.create () in
-  let net = Sim.Net.create ~telemetry:tel engine in
-  let rng = Util.Rng.create cfg.seed in
-  let db = Kdb.create ~shards:cfg.shards () in
-  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
-  (* The KDC pool: every member serves the same sharded database. *)
-  let kdc_addrs =
-    List.init cfg.kdcs (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel ~realm
-            ~profile:cfg.profile ~lifetime:cfg.lifetime db
-        in
-        Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
-  in
-  (* Application services, one host each, echo handlers. *)
-  let services =
-    Array.init cfg.services (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "svc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 1 (i / 200) ((i mod 200) + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let principal =
-          Principal.service ~realm (Printf.sprintf "app%02d" i)
-            ~host:host.Sim.Host.name
-        in
-        let key = Crypto.Des.random_key rng in
-        Kdb.add_service db principal ~key;
-        let (_ : Apserver.t) =
-          Apserver.install ~seed:(Util.Rng.next_int64 rng) net host
-            ~profile:cfg.profile ~principal ~key ~port:600
-            ~handler:(fun _session ~client:_ data -> Some data)
-            ()
-        in
-        (principal, key, Sim.Host.primary_ip host))
-  in
-  (* The population. Eager mode registers every principal up front —
-     deriving each key from its password, exactly the work a realm-sized
-     user community costs. Lazy mode registers nobody: a principal's
-     entry is derived at its first AS request, so a million-user realm
-     costs only its authenticating fraction. *)
+(* --- the world: one builder for every campaign ------------------------ *)
+
+(* Every campaign stands its world up in the same steps, and the order is
+   part of each seeded artifact — every step draws from the run's one
+   generator:
+
+   1. {!build_realm}: collector, engine, net, generator, the sharded
+      database and the TGS key (one draw), the services (one key draw
+      each, plus an AP-server seed each when they serve), then the
+      population (eager or lazy; no draws);
+   2. the campaign's own database plumbing — durability, read router,
+      replicas (no draws);
+   3. {!kdc_pool}: one KDC seed per member;
+   4. {!wave}s, in the order the campaign lists them. *)
+
+type world = {
+  cfg : config;
+  tel : Telemetry.Collector.t;
+  engine : Sim.Engine.t;
+  net : Sim.Net.t;
+  rng : Util.Rng.t;
+  db : Kdb.t;
+  services : (Principal.t * bytes * Sim.Addr.t) array;
+  mutable completed : int;
+  mutable errors : int;
+}
+
+(* The population. Eager mode registers every principal up front —
+   deriving each key from its password, exactly the work a realm-sized
+   user community costs. Lazy mode registers nobody: a principal's entry
+   is derived at its first AS request, so a million-user realm costs only
+   its authenticating fraction. *)
+let register_users cfg db =
   if cfg.lazy_users then
     Kdb.set_lazy_provider db (fun name ->
         match Principal.of_string name with
@@ -197,61 +176,164 @@ let run_timed ?on_world cfg =
       let u = user_of cfg i in
       Kdb.add_user db (Principal.user ~realm u.Passwords.name)
         ~password:u.Passwords.password
-    done;
-  (* Active clients: open-loop traffic. Each client's requests fire on a
-     fixed absolute schedule regardless of completions — arrival is not
-     gated on service, as in any open-loop load test. Request [j]
-     schedules request [j+1] when it fires (same instants as scheduling
-     the whole chain up front, without holding clients*requests closures
-     in the heap at once), and the ramp of start events goes in as one
-     bulk {!Sim.Engine.schedule_batch}. *)
-  let completed = ref 0 and errors = ref 0 in
-  let pick_service = zipf_sampler cfg in
-  let starts = ref [] in
-  let clients =
-    Array.init cfg.active_clients (fun i ->
-        let u = user_of cfg i in
+    done
+
+(* A private collector (latency histograms and KDC counters for this run
+   only, clocked on this run's engine; lightweight mode keeps exactly the
+   metrics the reports read and skips the trace machinery), the realm
+   database, one host per application service — an echo AP server on it
+   when [ap] — and the population. *)
+let build_realm ~ap cfg =
+  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
+  let engine = Sim.Engine.create () in
+  let net = Sim.Net.create ~telemetry:tel engine in
+  let rng = Util.Rng.create cfg.seed in
+  let db = Kdb.create ~shards:cfg.shards () in
+  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
+  let services =
+    Array.init cfg.services (fun i ->
         let host =
-          Sim.Host.create ~name:(Printf.sprintf "c%05d" i) ~ips:[ client_addr i ] ()
+          Sim.Host.create ~name:(Printf.sprintf "svc%02d" i)
+            ~ips:[ Sim.Addr.of_quad 10 1 (i / 200) ((i mod 200) + 1) ] ()
         in
         Sim.Net.attach net host;
+        let principal =
+          Principal.service ~realm (Printf.sprintf "app%02d" i)
+            ~host:host.Sim.Host.name
+        in
+        let key = Crypto.Des.random_key rng in
+        Kdb.add_service db principal ~key;
+        if ap then
+          ignore
+            (Apserver.install ~seed:(Util.Rng.next_int64 rng) net host
+               ~profile:cfg.profile ~principal ~key ~port:600
+               ~handler:(fun _session ~client:_ data -> Some data)
+               ()
+              : Apserver.t);
+        (principal, key, Sim.Host.primary_ip host))
+  in
+  register_users cfg db;
+  { cfg; tel; engine; net; rng; db; services; completed = 0; errors = 0 }
+
+(* The KDC pool: every member serves the same sharded database, through
+   [reads] and behind [admission] when given. *)
+let kdc_pool ?reads ?admission w =
+  List.init w.cfg.kdcs (fun i ->
+      let host =
+        Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
+          ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
+      in
+      Sim.Net.attach w.net host;
+      let kdc =
+        Kdc.create ~seed:(Util.Rng.next_int64 w.rng) ~telemetry:w.tel ?reads
+          ?admission ~realm ~profile:w.cfg.profile ~lifetime:w.cfg.lifetime w.db
+      in
+      Kdc.install w.net host kdc ();
+      (kdc, (realm, Sim.Host.primary_ip host)))
+  |> List.split
+
+let login w client (u : Passwords.user) =
+  Client.login client ~password:u.Passwords.password (function
+    | Ok _ -> ()
+    | Error _ -> w.errors <- w.errors + 1)
+
+(* One benign request: a ticket for the service, an AP exchange, one
+   private message — complete when the echo comes back. *)
+let call_service w client (principal, _, addr) payload =
+  let fail () = w.errors <- w.errors + 1 in
+  Client.get_ticket client ~service:principal (function
+    | Error _ -> fail ()
+    | Ok creds ->
+        Client.ap_exchange client creds ~dst:addr ~dport:600 (function
+          | Error _ -> fail ()
+          | Ok chan ->
+              Client.call_priv client chan (Bytes.of_string payload) ~k:(function
+                | Error _ -> fail ()
+                | Ok _ -> w.completed <- w.completed + 1)))
+
+(* Storm hygiene for a wave's clients (see {!Client.create}); a wave
+   without it runs the historical client. *)
+type hygiene = { budget : int; breaker : int; cooldown : float; deadline : float }
+
+(* An open-loop wave: one client per user index [first + j], [j < count],
+   on host [name ^ j] at the user's benign address. Per client, in this
+   order, it draws the client seed, whatever [request] draws while
+   building the client's request thunk, then the start time [at] +
+   U(0, [jitter]). Requests fire on a fixed absolute schedule regardless
+   of completions — arrival is not gated on service. With [login] the
+   start event logs in and request 0 fires a second later; without,
+   request 0 is the start event. Request [j] schedules request [j+1] when
+   it fires (the same instants as scheduling the whole chain up front,
+   without holding clients*requests closures in the heap at once), and
+   the start events go in as one bulk {!Sim.Engine.schedule_batch}. *)
+let wave w ~kdcs ~name ~first ~count ~ccache ?retries ?hygiene ~at ~jitter
+    ~login:logs_in ~requests ~think request =
+  let h f = Option.map f hygiene in
+  let starts = ref [] in
+  let clients =
+    Array.init count (fun j ->
+        let i = first + j in
+        let u = user_of w.cfg i in
+        let host =
+          Sim.Host.create ~name:(Printf.sprintf "%s%05d" name j)
+            ~ips:[ client_addr i ] ()
+        in
+        Sim.Net.attach w.net host;
         let client =
-          Client.create ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password ~ccache:cfg.ccache
-            ~kdc_rotation:true net host ~profile:cfg.profile ~kdcs:kdc_addrs
+          Client.create ~seed:(Util.Rng.next_int64 w.rng)
+            ~password:u.Passwords.password ~ccache ~kdc_rotation:true
+            ?kdc_retries:retries
+            ?retry_budget:(h (fun h -> h.budget))
+            ?breaker_threshold:(h (fun h -> h.breaker))
+            ?breaker_cooldown:(h (fun h -> h.cooldown))
+            ?honor_retry_after:(h (fun _ -> true))
+            ?kdc_deadline:(h (fun h -> h.deadline))
+            w.net host ~profile:w.cfg.profile ~kdcs
             (Principal.user ~realm u.Passwords.name)
         in
-        let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-        let start = Util.Rng.float rng cfg.ramp in
+        let request = request client u in
+        let start = at +. Util.Rng.float w.rng jitter in
+        let t0 = if logs_in then start +. 1.0 else start in
         let rec fire j () =
-          let svc_principal, _, svc_addr = services.(pick_service crng) in
-          Client.get_ticket client ~service:svc_principal (function
-            | Error _ -> incr errors
-            | Ok creds ->
-                Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                  (function
-                  | Error _ -> incr errors
-                  | Ok chan ->
-                      Client.call_priv client chan (Bytes.of_string "PING")
-                        ~k:(function
-                        | Error _ -> incr errors
-                        | Ok _ -> incr completed)));
-          if j + 1 < cfg.requests_per_client then
-            Sim.Engine.schedule engine
-              ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
+          request ();
+          if j + 1 < requests then
+            Sim.Engine.schedule w.engine
+              ~at:(t0 +. (float_of_int (j + 1) *. think))
               (fire (j + 1))
         in
-        starts :=
-          ( start,
-            fun () ->
-              Client.login client ~password:u.Passwords.password (function
-                | Ok _ -> ()
-                | Error _ -> incr errors);
-              Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-          :: !starts;
+        let first_event =
+          if logs_in then (fun () ->
+            login w client u;
+            Sim.Engine.schedule w.engine ~at:t0 (fire 0))
+          else fire 0
+        in
+        starts := (start, first_event) :: !starts;
         client)
   in
-  Sim.Engine.schedule_batch engine (List.rev !starts);
+  Sim.Engine.schedule_batch w.engine (List.rev !starts);
+  clients
+
+(* The calm population every campaign runs: the active clients, started
+   over the ramp, each drawing its own service-popularity generator so
+   every request picks a service by zipf rank. *)
+let calm_wave ?retries ?hygiene w ~kdcs request =
+  let cfg = w.cfg in
+  let pick_service = zipf_sampler cfg in
+  wave w ~kdcs ~name:"c" ~first:0 ~count:cfg.active_clients ~ccache:cfg.ccache
+    ?retries ?hygiene ~at:0.0 ~jitter:cfg.ramp ~login:true
+    ~requests:cfg.requests_per_client ~think:cfg.think_time (fun client _ ->
+      let crng = Util.Rng.create (Util.Rng.next_int64 w.rng) in
+      fun () -> request client w.services.(pick_service crng))
+
+let hist w name =
+  Telemetry.Metrics.histogram (Telemetry.Collector.metrics w.tel) name
+
+let run_timed ?on_world cfg =
+  validate cfg;
+  let t0 = Sys.time () in
+  let w = build_realm ~ap:true cfg in
+  let _, kdcs = kdc_pool w in
+  let clients = calm_wave w ~kdcs (fun c svc -> call_service w c svc "PING") in
   (* The attack plane, if any, schedules itself into the same engine now —
      after the benign world is fully built (splitting the generator here
      perturbs nothing: the benign run draws no more from [rng]). *)
@@ -259,36 +341,34 @@ let run_timed ?on_world cfg =
   | None -> ()
   | Some f ->
       f
-        { Attack_mix.w_net = net; w_engine = engine; w_rng = Util.Rng.split rng;
+        { Attack_mix.w_net = w.net; w_engine = w.engine; w_rng = Util.Rng.split w.rng;
           w_profile = cfg.profile; w_realm = realm;
-          w_kdcs = List.map snd kdc_addrs; w_services = services;
+          w_kdcs = List.map snd kdcs; w_services = w.services;
           w_client_addrs = Array.init cfg.active_clients client_addr;
           w_user = user_of cfg; w_users = cfg.users; w_active = cfg.active_clients }
-        tel);
+        w.tel);
   let setup_seconds = Sys.time () -. t0 in
   let t1 = Sys.time () in
-  Sim.Engine.run engine;
+  Sim.Engine.run w.engine;
   let run_seconds = Sys.time () -. t1 in
-  let m = Telemetry.Collector.metrics tel in
-  let hist name = Telemetry.Metrics.histogram m name in
-  let count name = Telemetry.Metrics.hist_count (hist name) in
+  let count name = Telemetry.Metrics.hist_count (hist w name) in
   let hits = Array.fold_left (fun a c -> a + Client.ccache_hits c) 0 clients in
   let misses = Array.fold_left (fun a c -> a + Client.ccache_misses c) 0 clients in
-  let sim_seconds = Sim.Engine.now engine in
-  let events = Sim.Engine.executed engine in
-  ( { r_config = cfg; sim_seconds; completed = !completed; errors = !errors;
+  let sim_seconds = Sim.Engine.now w.engine in
+  let events = Sim.Engine.executed w.engine in
+  ( { r_config = cfg; sim_seconds; completed = w.completed; errors = w.errors;
       as_requests = count "span.kdc.as_req.seconds";
       tgs_requests = count "span.kdc.tgs_req.seconds";
       ap_exchanges = count "span.client.ap_exchange.seconds";
       ccache_hits = hits; ccache_misses = misses;
-      as_latency = percentiles_of_hist (hist "span.kdc.as_req.seconds");
-      tgs_latency = percentiles_of_hist (hist "span.client.tgs_exchange.seconds");
-      ap_latency = percentiles_of_hist (hist "span.client.ap_exchange.seconds");
-      shard_lookups = Kdb.shard_lookups db;
-      shard_entries = Kdb.shard_sizes db;
+      as_latency = percentiles_of_hist (hist w "span.kdc.as_req.seconds");
+      tgs_latency = percentiles_of_hist (hist w "span.client.tgs_exchange.seconds");
+      ap_latency = percentiles_of_hist (hist w "span.client.ap_exchange.seconds");
+      shard_lookups = Kdb.shard_lookups w.db;
+      shard_entries = Kdb.shard_sizes w.db;
       throughput =
-        (if sim_seconds > 0.0 then float_of_int !completed /. sim_seconds else 0.0);
-      span_breakdown = breakdown_of tel },
+        (if sim_seconds > 0.0 then float_of_int w.completed /. sim_seconds else 0.0);
+      span_breakdown = breakdown_of w.tel },
     { setup_seconds; run_seconds; events;
       events_per_second =
         (if run_seconds > 0.0 then float_of_int events /. run_seconds else 0.0) } )
@@ -593,6 +673,10 @@ let validate_viral v =
     invalid_arg "Loadgen: v_spike_service out of range";
   if v.v_spike_clients < 1 || v.v_spike_requests < 1 then
     invalid_arg "Loadgen: spike size out of range";
+  (* Materialized entries are serving state, not durable state: the WAL
+     never ships them, so a replica would not know a lazy user. *)
+  if v.v_base.lazy_users then
+    invalid_arg "Loadgen: lazy users cannot be replicated (WAL durability)";
   (* Base actives, the viral wave and the churn pool draw on disjoint
      user index ranges. *)
   if v.v_base.active_clients + v.v_spike_clients + 50 > v.v_base.users then
@@ -600,164 +684,26 @@ let validate_viral v =
 
 let run_viral_one v ~label ~replicas ~spike =
   let cfg = v.v_base in
-  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
-  let engine = Sim.Engine.create () in
-  let net = Sim.Net.create ~telemetry:tel engine in
-  let rng = Util.Rng.create cfg.seed in
-  let db = Kdb.create ~shards:cfg.shards () in
-  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
+  let w = build_realm ~ap:true cfg in
+  let db = w.db in
   (* Population first, durability second: the initial checkpoint then
      covers the whole registered realm and replicas bootstrap from it
      instead of replaying one Put per principal. *)
-  let services =
-    Array.init cfg.services (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "svc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 1 (i / 200) ((i mod 200) + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let principal =
-          Principal.service ~realm (Printf.sprintf "app%02d" i)
-            ~host:host.Sim.Host.name
-        in
-        let key = Crypto.Des.random_key rng in
-        Kdb.add_service db principal ~key;
-        let (_ : Apserver.t) =
-          Apserver.install ~seed:(Util.Rng.next_int64 rng) net host
-            ~profile:cfg.profile ~principal ~key ~port:600
-            ~handler:(fun _session ~client:_ data -> Some data)
-            ()
-        in
-        (principal, key, Sim.Host.primary_ip host))
-  in
-  for i = 0 to cfg.users - 1 do
-    let u = user_of cfg i in
-    Kdb.add_user db (Principal.user ~realm u.Passwords.name)
-      ~password:u.Passwords.password
-  done;
   Kdb.enable_durability ~checkpoint_every:500 db;
   let router =
     Replication.create ~service_time:v.v_service_time ~max_lag:v.v_max_lag
-      ~telemetry:tel db
+      ~telemetry:w.tel db
   in
   let pool_replicas =
     List.init replicas (fun i ->
         let r =
-          Kdb.attach_replica ~telemetry:tel db
+          Kdb.attach_replica ~telemetry:w.tel db
             ~name:(Printf.sprintf "replica%d" i)
         in
         Replication.add_replica router r;
         r)
   in
-  let kdc_addrs =
-    List.init cfg.kdcs (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel
-            ~reads:router ~realm ~profile:cfg.profile ~lifetime:cfg.lifetime db
-        in
-        Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
-  in
-  let completed = ref 0 and errors = ref 0 in
-  let pick_service = zipf_sampler cfg in
-  let starts = ref [] in
-  (* The calm background: the same open-loop clients as {!run_timed}. *)
-  Array.iteri
-    (fun i () ->
-      let u = user_of cfg i in
-      let host =
-        Sim.Host.create ~name:(Printf.sprintf "c%05d" i)
-          ~ips:[ client_addr i ] ()
-      in
-      Sim.Net.attach net host;
-      let client =
-        Client.create ~seed:(Util.Rng.next_int64 rng)
-          ~password:u.Passwords.password ~ccache:cfg.ccache ~kdc_rotation:true
-          net host ~profile:cfg.profile ~kdcs:kdc_addrs
-          (Principal.user ~realm u.Passwords.name)
-      in
-      let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-      let start = Util.Rng.float rng cfg.ramp in
-      let rec fire j () =
-        let svc_principal, _, svc_addr = services.(pick_service crng) in
-        Client.get_ticket client ~service:svc_principal (function
-          | Error _ -> incr errors
-          | Ok creds ->
-              Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                (function
-                | Error _ -> incr errors
-                | Ok chan ->
-                    Client.call_priv client chan (Bytes.of_string "PING")
-                      ~k:(function
-                      | Error _ -> incr errors
-                      | Ok _ -> incr completed)));
-        if j + 1 < cfg.requests_per_client then
-          Sim.Engine.schedule engine
-            ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
-            (fire (j + 1))
-      in
-      starts :=
-        ( start,
-          fun () ->
-            Client.login client ~password:u.Passwords.password (function
-              | Ok _ -> ()
-              | Error _ -> incr errors);
-            Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-        :: !starts)
-    (Array.make cfg.active_clients ());
-  (* The viral wave: cache-less clients, all aimed at one service, open
-     loop at a much hotter think time. Cache-less is the realistic shape —
-     a service suddenly popular is popular with *new* clients, who all
-     need tickets. *)
-  if spike then
-    Array.iteri
-      (fun j () ->
-        let i = cfg.active_clients + j in
-        let u = user_of cfg i in
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "v%05d" j)
-            ~ips:[ client_addr i ] ()
-        in
-        Sim.Net.attach net host;
-        let client =
-          Client.create ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password ~ccache:false ~kdc_rotation:true
-            net host ~profile:cfg.profile ~kdcs:kdc_addrs
-            (Principal.user ~realm u.Passwords.name)
-        in
-        let svc_principal, _, svc_addr = services.(v.v_spike_service) in
-        let start = v.v_spike_at +. Util.Rng.float rng 1.0 in
-        let rec fire j () =
-          Client.get_ticket client ~service:svc_principal (function
-            | Error _ -> incr errors
-            | Ok creds ->
-                Client.ap_exchange client creds ~dst:svc_addr ~dport:600
-                  (function
-                  | Error _ -> incr errors
-                  | Ok chan ->
-                      Client.call_priv client chan (Bytes.of_string "VIRAL")
-                        ~k:(function
-                        | Error _ -> incr errors
-                        | Ok _ -> incr completed)));
-          if j + 1 < v.v_spike_requests then
-            Sim.Engine.schedule engine
-              ~at:(start +. 1.0 +. (float_of_int (j + 1) *. v.v_spike_think))
-              (fire (j + 1))
-        in
-        starts :=
-          ( start,
-            fun () ->
-              Client.login client ~password:u.Passwords.password (function
-                | Ok _ -> ()
-                | Error _ -> incr errors);
-              Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-          :: !starts)
-      (Array.make v.v_spike_clients ());
+  let _, kdcs = kdc_pool ~reads:router w in
   let base_end =
     cfg.ramp +. 1.0
     +. (float_of_int cfg.requests_per_client *. cfg.think_time)
@@ -784,10 +730,10 @@ let run_viral_one v ~label ~replicas ~spike =
       if lag > !max_lag_seen then max_lag_seen := lag;
       shipped := !shipped + Replication.ship_if_lagged ~fraction:0.5 router;
       if at < horizon then
-        Sim.Engine.schedule engine ~at:(at +. v.v_ship_every)
+        Sim.Engine.schedule w.engine ~at:(at +. v.v_ship_every)
           (ship_tick (at +. v.v_ship_every))
     in
-    Sim.Engine.schedule engine ~at:v.v_ship_every (ship_tick v.v_ship_every)
+    Sim.Engine.schedule w.engine ~at:v.v_ship_every (ship_tick v.v_ship_every)
   end;
   (* Background password churn on a user pool nobody logs in as: write
      traffic for the WAL to ship, and the reason the freshness floor
@@ -800,10 +746,10 @@ let run_viral_one v ~label ~replicas ~spike =
       Kdb.add_user db (Principal.user ~realm u.Passwords.name)
         ~password:(Printf.sprintf "%s#%d" u.Passwords.password n);
       if at < horizon then
-        Sim.Engine.schedule engine ~at:(at +. v.v_churn_every)
+        Sim.Engine.schedule w.engine ~at:(at +. v.v_churn_every)
           (churn_tick (n + 1) (at +. v.v_churn_every))
     in
-    Sim.Engine.schedule engine ~at:1.0 (churn_tick 0 1.0)
+    Sim.Engine.schedule w.engine ~at:1.0 (churn_tick 0 1.0)
   end;
   (* A replica dies in the middle of the storm and rejoins through the
      reconcile machinery while writes keep flowing. *)
@@ -811,14 +757,28 @@ let run_viral_one v ~label ~replicas ~spike =
   (match (v.v_crash_replica && spike, pool_replicas) with
   | true, r0 :: _ ->
       let mid = v.v_spike_at +. 1.0 in
-      Sim.Engine.schedule engine ~at:mid (fun () ->
+      Sim.Engine.schedule w.engine ~at:mid (fun () ->
           incr crashes;
           Kdb.replica_crash r0);
-      Sim.Engine.schedule engine ~at:(mid +. 0.6) (fun () ->
+      Sim.Engine.schedule w.engine ~at:(mid +. 0.6) (fun () ->
           ignore (Kdb.replica_rejoin r0 : int))
   | _ -> ());
-  Sim.Engine.schedule_batch engine (List.rev !starts);
-  Sim.Engine.run engine;
+  (* The calm background: the same open-loop clients as {!run_timed}. *)
+  ignore (calm_wave w ~kdcs (fun c svc -> call_service w c svc "PING") : Client.t array);
+  (* The viral wave: cache-less clients, all aimed at one service, open
+     loop at a much hotter think time. Cache-less is the realistic shape —
+     a service suddenly popular is popular with *new* clients, who all
+     need tickets. *)
+  if spike then begin
+    let svc = w.services.(v.v_spike_service) in
+    ignore
+      (wave w ~kdcs ~name:"v" ~first:cfg.active_clients ~count:v.v_spike_clients
+         ~ccache:false ~at:v.v_spike_at ~jitter:1.0 ~login:true
+         ~requests:v.v_spike_requests ~think:v.v_spike_think (fun c _ () ->
+           call_service w c svc "VIRAL")
+        : Client.t array)
+  end;
+  Sim.Engine.run w.engine;
   (* Quiesce: one final shipping round, then convergence is digest +
      version-vector equality on every subscribed shard. *)
   shipped := !shipped + Replication.ship_all router;
@@ -830,15 +790,13 @@ let run_viral_one v ~label ~replicas ~spike =
         && Kdb.digests rdb = Kdb.digests db)
       pool_replicas
   in
-  let m = Telemetry.Collector.metrics tel in
-  let hist name = Telemetry.Metrics.histogram m name in
   let unit_reads = Replication.unit_reads router in
   { vr_label = label;
-    vr_completed = !completed;
-    vr_errors = !errors;
-    vr_as_requests = Telemetry.Metrics.hist_count (hist "span.kdc.as_req.seconds");
-    vr_tgs_requests = Telemetry.Metrics.hist_count (hist "span.kdc.tgs_req.seconds");
-    vr_tgs_latency = percentiles_of_hist (hist "span.client.tgs_exchange.seconds");
+    vr_completed = w.completed;
+    vr_errors = w.errors;
+    vr_as_requests = Telemetry.Metrics.hist_count (hist w "span.kdc.as_req.seconds");
+    vr_tgs_requests = Telemetry.Metrics.hist_count (hist w "span.kdc.tgs_req.seconds");
+    vr_tgs_latency = percentiles_of_hist (hist w "span.client.tgs_exchange.seconds");
     vr_shard_lookup_balance = max_over_mean (Kdb.shard_lookups db);
     vr_unit_reads = unit_reads;
     vr_unit_balance =
@@ -851,7 +809,7 @@ let run_viral_one v ~label ~replicas ~spike =
     vr_max_lag_seen = !max_lag_seen;
     vr_replica_crashes = !crashes;
     vr_converged = converged;
-    vr_sim_seconds = Sim.Engine.now engine }
+    vr_sim_seconds = Sim.Engine.now w.engine }
 
 type viral_suite = {
   vs_config : viral_config;
@@ -1074,162 +1032,67 @@ type overload_row = {
 
 let run_overload_one o ~label ~spike ~hygiene =
   let cfg = o.o_base in
-  let tel = Telemetry.Collector.create ~lightweight:cfg.lightweight () in
-  let engine = Sim.Engine.create () in
-  let net = Sim.Net.create ~telemetry:tel engine in
-  let rng = Util.Rng.create cfg.seed in
-  let db = Kdb.create ~shards:cfg.shards () in
-  Kdb.add_service db (Principal.tgs ~realm) ~key:(Crypto.Des.random_key rng);
-  (* Service principals only — the campaign measures ticket goodput, so
-     nobody runs an AP exchange and the services need no hosts. *)
-  let services =
-    Array.init cfg.services (fun i ->
-        let principal =
-          Principal.service ~realm (Printf.sprintf "app%02d" i)
-            ~host:(Printf.sprintf "svc%02d" i)
-        in
-        Kdb.add_service db principal ~key:(Crypto.Des.random_key rng);
-        principal)
+  (* The campaign measures ticket goodput: nobody runs an AP exchange, so
+     the services need no AP servers. *)
+  let w = build_realm ~ap:false cfg in
+  let controlled =
+    { Kdc.queue_limit = o.o_queue_limit; base_service_time = o.o_service_time;
+      brownout_at = o.o_brownout_at; suspect_rate = o.o_suspect_rate;
+      classes = true }
   in
-  for i = 0 to cfg.users - 1 do
-    let u = user_of cfg i in
-    Kdb.add_user db (Principal.user ~realm u.Passwords.name)
-      ~password:u.Passwords.password
-  done;
+  (* The naive pool: same service clock, no policy. One FIFO class (a
+     login storm queues ahead of calm renewals, as V4 did), the queue bound
+     set far above any reachable backlog so nothing is ever shed —
+     overload expresses itself purely as queueing delay. *)
   let admission =
-    if hygiene then
-      { Kdc.queue_limit = o.o_queue_limit;
-        base_service_time = o.o_service_time;
-        brownout_at = o.o_brownout_at;
-        suspect_rate = o.o_suspect_rate;
-        classes = true }
+    if hygiene then controlled
     else
-      (* The naive pool: same service clock, no policy. One FIFO class
-         (a login storm queues ahead of calm renewals, as V4 did), the
-         queue bound set far above any reachable backlog so nothing is
-         ever shed — overload expresses itself purely as queueing
-         delay. *)
-      { Kdc.queue_limit = 1_000_000;
-        base_service_time = o.o_service_time;
-        brownout_at = 0;
-        suspect_rate = max_int;
+      { controlled with
+        queue_limit = 1_000_000; brownout_at = 0; suspect_rate = max_int;
         classes = false }
   in
-  let kdc_pool = ref [] in
-  let kdc_addrs =
-    List.init cfg.kdcs (fun i ->
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "kdc%02d" i)
-            ~ips:[ Sim.Addr.of_quad 10 0 0 (i + 1) ] ()
-        in
-        Sim.Net.attach net host;
-        let kdc =
-          Kdc.create ~seed:(Util.Rng.next_int64 rng) ~telemetry:tel ~admission
-            ~realm ~profile:cfg.profile ~lifetime:cfg.lifetime db
-        in
-        kdc_pool := kdc :: !kdc_pool;
-        Kdc.install net host kdc ();
-        (realm, Sim.Host.primary_ip host))
-  in
-  let mk_client ~seed ~password host principal =
+  let kdc_pool, kdcs = kdc_pool ~admission w in
+  let hygiene =
     if hygiene then
-      Client.create ~seed ~password ~ccache:false ~kdc_rotation:true
-        ~kdc_retries:o.o_retries ~retry_budget:o.o_retry_budget
-        ~breaker_threshold:o.o_breaker_threshold
-        ~breaker_cooldown:o.o_breaker_cooldown ~honor_retry_after:true
-        ~kdc_deadline:o.o_deadline net host ~profile:cfg.profile
-        ~kdcs:kdc_addrs principal
-    else
-      Client.create ~seed ~password ~ccache:false ~kdc_rotation:true
-        ~kdc_retries:o.o_retries net host ~profile:cfg.profile
-        ~kdcs:kdc_addrs principal
+      Some { budget = o.o_retry_budget; breaker = o.o_breaker_threshold;
+             cooldown = o.o_breaker_cooldown; deadline = o.o_deadline }
+    else None
   in
   let nwin = int_of_float (o.o_horizon /. o.o_window) in
   let windows = Array.make (max nwin 1) 0 in
-  let completed = ref 0 and errors = ref 0 and degraded = ref 0 in
-  let all_clients = ref [] in
+  let degraded = ref 0 in
   let record_completion () =
-    incr completed;
-    let w = int_of_float (Sim.Engine.now engine /. o.o_window) in
-    if w >= 0 && w < nwin then windows.(w) <- windows.(w) + 1
+    w.completed <- w.completed + 1;
+    let i = int_of_float (Sim.Engine.now w.engine /. o.o_window) in
+    if i >= 0 && i < nwin then windows.(i) <- windows.(i) + 1
   in
-  let pick_service = zipf_sampler cfg in
-  let starts = ref [] in
   (* The calm population: open-loop TGS traffic, the goodput being
      defended. Only [From_kdc] answers count — wallet fallbacks keep the
      client alive but are not KDC goodput. *)
-  Array.iteri
-    (fun i () ->
-      let u = user_of cfg i in
-      let host =
-        Sim.Host.create ~name:(Printf.sprintf "c%05d" i)
-          ~ips:[ client_addr i ] ()
-      in
-      Sim.Net.attach net host;
-      let client =
-        mk_client ~seed:(Util.Rng.next_int64 rng) ~password:u.Passwords.password
-          host
-          (Principal.user ~realm u.Passwords.name)
-      in
-      all_clients := client :: !all_clients;
-      let crng = Util.Rng.create (Util.Rng.next_int64 rng) in
-      let start = Util.Rng.float rng cfg.ramp in
-      let rec fire j () =
-        Client.get_ticket_ex client ~service:services.(pick_service crng)
-          (function
+  let calm =
+    calm_wave w ~kdcs ~retries:o.o_retries ?hygiene (fun c (principal, _, _) ->
+        Client.get_ticket_ex c ~service:principal (function
           | Ok (_, Client.From_kdc) -> record_completion ()
           | Ok (_, Client.From_cache) -> ()
           | Ok (_, Client.Degraded) -> incr degraded
-          | Error _ -> incr errors);
-        if j + 1 < cfg.requests_per_client then
-          Sim.Engine.schedule engine
-            ~at:(start +. 1.0 +. (float_of_int (j + 1) *. cfg.think_time))
-            (fire (j + 1))
-      in
-      starts :=
-        ( start,
-          fun () ->
-            Client.login client ~password:u.Passwords.password (function
-              | Ok _ -> ()
-              | Error _ -> incr errors);
-            Sim.Engine.schedule engine ~at:(start +. 1.0) (fire 0) )
-        :: !starts)
-    (Array.make cfg.active_clients ());
+          | Error _ -> w.errors <- w.errors + 1))
+  in
   (* The spike: a wave of fresh clients all logging in at once — the
      morning-rush AS storm, open loop. Their padata makes each request
      expensive in the brownout sense. *)
-  if spike then
-    Array.iteri
-      (fun j () ->
-        let i = cfg.active_clients + j in
-        let u = user_of cfg i in
-        let host =
-          Sim.Host.create ~name:(Printf.sprintf "s%05d" j)
-            ~ips:[ client_addr i ] ()
-        in
-        Sim.Net.attach net host;
-        let client =
-          mk_client ~seed:(Util.Rng.next_int64 rng)
-            ~password:u.Passwords.password host
-            (Principal.user ~realm u.Passwords.name)
-        in
-        all_clients := client :: !all_clients;
-        let start = o.o_spike_at +. Util.Rng.float rng 0.5 in
-        let rec fire j () =
-          Client.login client ~password:u.Passwords.password (function
-            | Ok _ -> ()
-            | Error _ -> incr errors);
-          if j + 1 < o.o_spike_requests then
-            Sim.Engine.schedule engine
-              ~at:(start +. (float_of_int (j + 1) *. o.o_spike_think))
-              (fire (j + 1))
-        in
-        starts := (start, fire 0) :: !starts)
-      (Array.make o.o_spike_clients ());
-  Sim.Engine.schedule_batch engine (List.rev !starts);
-  Sim.Engine.run engine;
-  let ksum f = List.fold_left (fun a k -> a + f k) 0 !kdc_pool in
-  let csum f = List.fold_left (fun a c -> a + f c) 0 !all_clients in
+  let storm =
+    if spike then
+      wave w ~kdcs ~name:"s" ~first:cfg.active_clients ~count:o.o_spike_clients
+        ~ccache:cfg.ccache ~retries:o.o_retries ?hygiene ~at:o.o_spike_at
+        ~jitter:0.5 ~login:false ~requests:o.o_spike_requests
+        ~think:o.o_spike_think (fun c u () -> login w c u)
+    else [||]
+  in
+  Sim.Engine.run w.engine;
+  let ksum f = List.fold_left (fun a k -> a + f k) 0 kdc_pool in
+  let csum f =
+    Array.fold_left (fun a c -> a + f c) 0 (Array.append calm storm)
+  in
   let arrived = ksum Kdc.admission_arrived in
   let processed = ksum Kdc.admission_processed in
   let busy_rejections = ksum Kdc.busy_rejections in
@@ -1240,7 +1103,7 @@ let run_overload_one o ~label ~spike ~hygiene =
     if hi <= lo then 0.0
     else begin
       let s = ref 0 in
-      for w = lo to hi - 1 do s := !s + windows.(w) done;
+      for k = lo to hi - 1 do s := !s + windows.(k) done;
       float_of_int !s /. (float_of_int (hi - lo) *. o.o_window)
     end
   in
@@ -1256,19 +1119,19 @@ let run_overload_one o ~label ~spike ~hygiene =
   let recovery =
     if not spike then Some 0.0
     else begin
-      let rec find w =
-        if w >= nwin then None
+      let rec find k =
+        if k >= nwin then None
         else if
-          float_of_int windows.(w) /. o.o_window >= 0.9 *. baseline
-        then Some ((float_of_int w *. o.o_window) -. spike_end)
-        else find (w + 1)
+          float_of_int windows.(k) /. o.o_window >= 0.9 *. baseline
+        then Some ((float_of_int k *. o.o_window) -. spike_end)
+        else find (k + 1)
       in
       find post_lo
     end
   in
   { or_label = label;
-    or_completed = !completed;
-    or_errors = !errors;
+    or_completed = w.completed;
+    or_errors = w.errors;
     or_degraded = !degraded;
     or_goodput_baseline = baseline;
     or_goodput_post = post;
@@ -1288,7 +1151,7 @@ let run_overload_one o ~label ~spike ~hygiene =
       arrived
       - (processed + busy_rejections + brownout_sheds + deadline_sheds
        + residual);
-    or_sim_seconds = Sim.Engine.now engine }
+    or_sim_seconds = Sim.Engine.now w.engine }
 
 type overload_suite = {
   os_config : overload_config;

@@ -250,6 +250,51 @@ let loadgen_rejects_nonsense () =
   Alcotest.(check bool) "zero shards" true
     (raises { small_cfg with Workloads.Loadgen.shards = 0 })
 
+(* Every config field a campaign echoes, it honours — or its validation
+   refuses the config. Lazy users are serving state the WAL never ships,
+   so the replication campaign must refuse them rather than run eager. *)
+let viral_rejects_lazy () =
+  let open Workloads.Loadgen in
+  let v = { default_viral with v_base = { default_viral.v_base with lazy_users = true } } in
+  Alcotest.(check bool) "lazy users under WAL durability refused" true
+    (match run_viral v with exception Invalid_argument _ -> true | _ -> false)
+
+(* A login storm small enough for runtest; every validation window holds. *)
+let small_overload =
+  let open Workloads.Loadgen in
+  { default_overload with
+    o_base =
+      { default_overload.o_base with
+        users = 100; active_clients = 20; requests_per_client = 100;
+        ramp = 2.0 };
+    o_spike_at = 6.0; o_spike_clients = 40; o_spike_requests = 10;
+    o_spike_think = 0.05; o_horizon = 10.0 }
+
+let with_base o f =
+  Workloads.Loadgen.{ o with o_base = f o.o_base }
+
+(* With the credential cache on, repeat requests for a service are
+   answered from the cache, and only KDC answers count as goodput. *)
+let overload_honours_ccache () =
+  let open Workloads.Loadgen in
+  let calm o = (run_overload o).os_calm.or_completed in
+  let off = calm small_overload in
+  let on = calm (with_base small_overload (fun b -> { b with ccache = true })) in
+  Alcotest.(check bool) "KDC answers fall with the cache on" true (on < off)
+
+(* Lazy materialization changes no simulated byte: the lazy storm's rows
+   are the eager storm's. *)
+let overload_lazy_is_eager () =
+  let open Workloads.Loadgen in
+  let eager = run_overload small_overload in
+  let lazy_ =
+    run_overload (with_base small_overload (fun b -> { b with lazy_users = true }))
+  in
+  Alcotest.(check string) "same rows"
+    (Telemetry.Json.to_string (overload_suite_to_json eager))
+    (Telemetry.Json.to_string
+       (overload_suite_to_json { lazy_ with os_config = eager.os_config }))
+
 (* ------------------------------------------------------------------ *)
 (* Golden digests: every campaign's deterministic export, pinned       *)
 (* ------------------------------------------------------------------ *)
@@ -277,7 +322,8 @@ let golden name expected json () =
 
 let golden_cases =
   let open Workloads.Loadgen in
-  [ ("run eager", "8e73ebaf981841026763816f8d8b8126", fun () -> report_to_json (run small_cfg));
+  [ ("run eager", "8e73ebaf981841026763816f8d8b8126",
+     fun () -> report_to_json (run small_cfg));
     ("run lazy", "956a9ab433d476535a25fb60dfe96ff7",
      fun () -> report_to_json (run { small_cfg with lazy_users = true }));
     ("run_campaign", "f25d4c6d8fb3d33e46f399e903376a5c",
@@ -299,7 +345,10 @@ let () =
       ("loadgen",
        [ Alcotest.test_case "deterministic" `Quick loadgen_deterministic;
          Alcotest.test_case "report shape" `Quick loadgen_report_shape;
-         Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense ]);
+         Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense;
+         Alcotest.test_case "viral refuses lazy users" `Quick viral_rejects_lazy;
+         Alcotest.test_case "overload honours ccache" `Quick overload_honours_ccache;
+         Alcotest.test_case "overload lazy = eager" `Quick overload_lazy_is_eager ]);
       ("golden",
        List.map
          (fun (name, expected, json) ->
