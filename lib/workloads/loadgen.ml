@@ -232,7 +232,7 @@ let kdc_pool ?reads ?admission w =
       (kdc, (realm, Sim.Host.primary_ip host)))
   |> List.split
 
-let login w client (u : Passwords.user) =
+let log_in w client (u : Passwords.user) =
   Client.login client ~password:u.Passwords.password (function
     | Ok _ -> ()
     | Error _ -> w.errors <- w.errors + 1)
@@ -267,7 +267,7 @@ type hygiene = { budget : int; breaker : int; cooldown : float; deadline : float
    without holding clients*requests closures in the heap at once), and
    the start events go in as one bulk {!Sim.Engine.schedule_batch}. *)
 let wave w ~kdcs ~name ~first ~count ~ccache ?retries ?hygiene ~at ~jitter
-    ~login:logs_in ~requests ~think request =
+    ~login ~requests ~think request =
   let h f = Option.map f hygiene in
   let starts = ref [] in
   let clients =
@@ -293,7 +293,7 @@ let wave w ~kdcs ~name ~first ~count ~ccache ?retries ?hygiene ~at ~jitter
         in
         let request = request client u in
         let start = at +. Util.Rng.float w.rng jitter in
-        let t0 = if logs_in then start +. 1.0 else start in
+        let t0 = if login then start +. 1.0 else start in
         let rec fire j () =
           request ();
           if j + 1 < requests then
@@ -302,8 +302,8 @@ let wave w ~kdcs ~name ~first ~count ~ccache ?retries ?hygiene ~at ~jitter
               (fire (j + 1))
         in
         let first_event =
-          if logs_in then (fun () ->
-            login w client u;
+          if login then (fun () ->
+            log_in w client u;
             Sim.Engine.schedule w.engine ~at:t0 (fire 0))
           else fire 0
         in
@@ -1085,7 +1085,7 @@ let run_overload_one o ~label ~spike ~hygiene =
       wave w ~kdcs ~name:"s" ~first:cfg.active_clients ~count:o.o_spike_clients
         ~ccache:cfg.ccache ~retries:o.o_retries ?hygiene ~at:o.o_spike_at
         ~jitter:0.5 ~login:false ~requests:o.o_spike_requests
-        ~think:o.o_spike_think (fun c u () -> login w c u)
+        ~think:o.o_spike_think (fun c u () -> log_in w c u)
     else [||]
   in
   Sim.Engine.run w.engine;

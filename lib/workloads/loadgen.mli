@@ -252,7 +252,9 @@ type viral_suite = {
 
 val run_viral : viral_config -> viral_suite
 (** @raise Invalid_argument on out-of-range configuration (the user
-    population must cover actives + the spike wave + the churn pool). *)
+    population must cover actives + the spike wave + the churn pool), and
+    on [lazy_users]: the WAL ships only registered entries, so a replica
+    would not know a lazily materialized user. *)
 
 val viral_overload_ratio : viral_suite -> float
 (** Unreplicated-spike p99 TGS latency over calm p99 — how badly the
