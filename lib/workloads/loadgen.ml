@@ -240,15 +240,14 @@ let log_in w client (u : Passwords.user) =
 (* One benign request: a ticket for the service, an AP exchange, one
    private message — complete when the echo comes back. *)
 let call_service w client (principal, _, addr) payload =
-  let fail () = w.errors <- w.errors + 1 in
   Client.get_ticket client ~service:principal (function
-    | Error _ -> fail ()
+    | Error _ -> w.errors <- w.errors + 1
     | Ok creds ->
         Client.ap_exchange client creds ~dst:addr ~dport:600 (function
-          | Error _ -> fail ()
+          | Error _ -> w.errors <- w.errors + 1
           | Ok chan ->
               Client.call_priv client chan (Bytes.of_string payload) ~k:(function
-                | Error _ -> fail ()
+                | Error _ -> w.errors <- w.errors + 1
                 | Ok _ -> w.completed <- w.completed + 1)))
 
 (* Storm hygiene for a wave's clients (see {!Client.create}); a wave
