@@ -409,19 +409,17 @@ let print_campaign_score (score : Telemetry.Detect.score) =
 
 (* What a campaign command does with its JSON: with [--quick], re-run the
    campaign and byte-compare (the same seed must serialize to the same
-   bytes); otherwise write it to [path]. Returns the failure count. *)
+   bytes); otherwise write it to [path]. [false] when the re-run diverged. *)
 let check_or_write ~quick ~what ~path json rerun =
-  if quick then
-    if String.equal json (rerun ()) then begin
+  if quick then begin
+    let same = String.equal json (rerun ()) in
+    if same then
       Printf.printf
         "\ndeterminism: re-run produced byte-identical %s JSON (%d bytes)\n"
-        what (String.length json);
-      0
-    end
-    else begin
-      print_endline "\ndeterminism: RE-RUN DIVERGED";
-      1
-    end
+        what (String.length json)
+    else print_endline "\ndeterminism: RE-RUN DIVERGED";
+    same
+  end
   else begin
     let oc = open_out path in
     output_string oc json;
@@ -429,7 +427,7 @@ let check_or_write ~quick ~what ~path json rerun =
     close_out oc;
     Printf.printf "\nmachine-readable results: %s\n"
       (Filename.concat (Sys.getcwd ()) path);
-    0
+    true
   end
 
 let print_detect users active requests seed quick =
@@ -474,19 +472,17 @@ let print_detect users active requests seed quick =
   let json campaign =
     Telemetry.Json.to_string (Workloads.Loadgen.campaign_to_json campaign)
   in
-  let failures =
-    ref
-      (check_or_write ~quick ~what:"campaign" ~path:detect_json_path
-         (json campaign) (fun () ->
-           json (snd (Workloads.Loadgen.run_campaign ?policy ~mix cfg))))
+  let deterministic =
+    check_or_write ~quick ~what:"campaign" ~path:detect_json_path
+      (json campaign) (fun () ->
+        json (snd (Workloads.Loadgen.run_campaign ?policy ~mix cfg)))
   in
   let good = detect_floor_classes campaign.Workloads.Loadgen.ca_score in
   Printf.printf
     "detection floor: %d/%d classes at rate >= 0.9 with FPR <= 0.01 (need >= 3)\n"
     (List.length good)
     (List.length campaign.Workloads.Loadgen.ca_score.Telemetry.Detect.sc_classes);
-  if List.length good < 3 then incr failures;
-  if !failures > 0 then begin
+  if (not deterministic) || List.length good < 3 then begin
     print_endline "detect: FAILED";
     exit 1
   end
@@ -549,15 +545,13 @@ let print_replicate seed quick =
   let s = run_viral v in
   print_viral_rows s;
   let json s = Telemetry.Json.to_string (viral_suite_to_json s) in
-  let failures =
-    ref
-      (check_or_write ~quick ~what:"suite" ~path:replication_json_path (json s)
-         (fun () -> json (run_viral v)))
+  let deterministic =
+    check_or_write ~quick ~what:"suite" ~path:replication_json_path (json s)
+      (fun () -> json (run_viral v))
   in
   let floor_fails = viral_floor_failures s in
   List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
-  if floor_fails <> [] then incr failures;
-  if !failures > 0 then begin
+  if (not deterministic) || floor_fails <> [] then begin
     print_endline "replicate: FAILED";
     exit 1
   end
@@ -605,15 +599,13 @@ let print_overload seed quick =
   let s = run_overload o in
   print_overload_rows s;
   let json s = Telemetry.Json.to_string (overload_suite_to_json s) in
-  let failures =
-    ref
-      (check_or_write ~quick ~what:"suite" ~path:overload_json_path (json s)
-         (fun () -> json (run_overload o)))
+  let deterministic =
+    check_or_write ~quick ~what:"suite" ~path:overload_json_path (json s)
+      (fun () -> json (run_overload o))
   in
   let floor_fails = overload_floor_failures s in
   List.iter (fun f -> Printf.printf "floor: %s\n" f) floor_fails;
-  if floor_fails <> [] then incr failures;
-  if !failures > 0 then begin
+  if (not deterministic) || floor_fails <> [] then begin
     print_endline "overload: FAILED";
     exit 1
   end
