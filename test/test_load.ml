@@ -248,16 +248,20 @@ let loadgen_rejects_nonsense () =
   Alcotest.(check bool) "more active than registered" true
     (raises { small_cfg with Workloads.Loadgen.active_clients = 1000 });
   Alcotest.(check bool) "zero shards" true
-    (raises { small_cfg with Workloads.Loadgen.shards = 0 })
-
-(* Every config field a campaign echoes, it honours — or its validation
-   refuses the config. Lazy users are serving state the WAL never ships,
-   so the replication campaign must refuse them rather than run eager. *)
-let viral_rejects_lazy () =
+    (raises { small_cfg with Workloads.Loadgen.shards = 0 });
+  (* Every config field a campaign echoes, it honours — or its validation
+     refuses the config. Lazy users are serving state the WAL never
+     ships, so the replication campaign refuses them rather than run
+     eager. *)
   let open Workloads.Loadgen in
-  let v = { default_viral with v_base = { default_viral.v_base with lazy_users = true } } in
-  Alcotest.(check bool) "lazy users under WAL durability refused" true
-    (match run_viral v with exception Invalid_argument _ -> true | _ -> false)
+  Alcotest.(check bool) "viral: lazy users under WAL durability" true
+    (match
+       run_viral
+         { default_viral with
+           v_base = { default_viral.v_base with lazy_users = true } }
+     with
+    | exception Invalid_argument _ -> true
+    | _ -> false)
 
 (* A login storm small enough for runtest; every validation window holds. *)
 let small_overload =
@@ -346,7 +350,6 @@ let () =
        [ Alcotest.test_case "deterministic" `Quick loadgen_deterministic;
          Alcotest.test_case "report shape" `Quick loadgen_report_shape;
          Alcotest.test_case "config validation" `Quick loadgen_rejects_nonsense;
-         Alcotest.test_case "viral refuses lazy users" `Quick viral_rejects_lazy;
          Alcotest.test_case "overload honours ccache" `Quick overload_honours_ccache;
          Alcotest.test_case "overload lazy = eager" `Quick overload_lazy_is_eager ]);
       ("golden",
