@@ -72,14 +72,14 @@ let print_e3 () =
 let print_e13 () =
   print_endline "== E13a: discrete-log attacks on small exponential-exchange moduli ==";
   Expframework.Table.print
-    ~header:[ "modulus bits"; "algorithm"; "cpu seconds"; "exponent recovered" ]
+    ~header:[ "modulus bits"; "algorithm"; "wall seconds"; "exponent recovered" ]
     (List.map
        (fun (b, alg, t, ok) ->
          [ string_of_int b; alg; Printf.sprintf "%.3f" t; yn ok ])
        (Expframework.Sweeps.dlog_sweep ()));
   print_endline "";
   print_endline "== E13b: cost of one modular exponentiation (the defender's side) ==";
-  Expframework.Table.print ~header:[ "modulus bits"; "cpu seconds / modexp" ]
+  Expframework.Table.print ~header:[ "modulus bits"; "wall seconds / modexp" ]
     (List.map
        (fun (b, t) -> [ string_of_int b; Printf.sprintf "%.5f" t ])
        (Expframework.Sweeps.modexp_cost ()))

@@ -8,6 +8,7 @@ type result = {
 
 let run ?(seed = 0xE8CL) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   (* A router-ish machine with two interfaces. *)
   let gw =
     Sim.Host.create ~name:"gateway"

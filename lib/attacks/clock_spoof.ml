@@ -9,6 +9,7 @@ type result = {
 
 let run ?(seed = 0xE2L) ?(age = 3600.0) ?(authenticated_time = false) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   let time_key = Bytes.of_string "mail+time shared" in
   if authenticated_time then
     Timesvc.install_authenticated_server bed.net bed.time_host ~port:38 ~key:time_key ();

@@ -25,6 +25,7 @@ let embedded_plaintext ~(profile : Profile.t) ~data ~stamp ~victim_addr =
 
 let run ?(seed = 0xE6L) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   (* The attacker plans to fire the forgery about a minute from now and
      stamps the embedded message accordingly. *)
   let fire_at = Sim.Engine.now bed.eng +. 60.0 in

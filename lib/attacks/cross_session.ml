@@ -6,6 +6,7 @@ let command = "DELETE /u/pat/backup.1"
 
 let run ?(seed = 0xE7L) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   Services.Fileserver.write_file bed.file ~owner:"pat@ATHENA" ~path:"/u/pat/backup.1"
     (Bytes.of_string "v1");
   Services.Fileserver.write_file bed.file ~owner:"pat@ATHENA" ~path:"/u/pat/backup.2"

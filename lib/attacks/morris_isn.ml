@@ -11,6 +11,7 @@ let evil_command = "echo darkstar.mit.edu robin >> /u/pat/.rhosts"
 
 let run ?(seed = 0xE8BL) ?(isn = Sim.Tcpish.Predictable) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   let rsh_principal = Principal.service ~realm:"ATHENA" "rsh" ~host:"fs1" in
   let rsh_key = Crypto.Des.random_key bed.rng in
   Kdb.add_service bed.db rsh_principal ~key:rsh_key;

@@ -10,6 +10,7 @@ let swap_port = 2050
 
 let run ?(seed = 0xE18L) ?(pinned_memory = false) ~profile () =
   let bed = Testbed.make ~seed ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   (* The victim's workstation is diskless: it pages to the file host. A
      page-out is an ordinary cleartext datagram with the page contents. *)
   let swap_sport = Sim.Net.ephemeral_port bed.net in

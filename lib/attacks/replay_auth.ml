@@ -22,6 +22,7 @@ let run ?(seed = 0xE1L) ?(delay = 30.0) ?(skew = 300.0) ~profile () =
       ~server_config:{ Apserver.default_config with skew }
       ~profile ()
   in
+  Sim.Adversary.start_tap bed.adv;
   (* Victim does a quick mail check; adversary is already tapping. *)
   Testbed.victim_mail_session bed ();
   Testbed.run bed;

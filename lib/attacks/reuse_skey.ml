@@ -13,6 +13,7 @@ let run ?(seed = 0xE11L) ?server_config ~profile () =
     { applicable = false; archive_destroyed = false; believed_principal = None }
   else begin
     let bed = Testbed.make ~seed ?server_config ~profile () in
+    Sim.Adversary.start_tap bed.adv;
     let backup_refused = ref false in
     Services.Backupserver.archive bed.backup ~path (Bytes.of_string "precious archive");
     Services.Fileserver.write_file bed.file ~owner:"pat@ATHENA" ~path

@@ -37,4 +37,5 @@ val call_priv_as :
   k:((bytes, string) result -> unit) ->
   unit
 (** Spoofed AP exchange followed by one sealed request; the sealed response
-    is plucked off the tap and decrypted. *)
+    is plucked off the tap and decrypted. Both calls read the bed's
+    capture, so the caller must have started [bed.adv]'s tap. *)

@@ -91,7 +91,6 @@ let make ?(seed = 0xBEDL) ?(enc_tkt_cname_check = false) ?server_config ~profile
       (Principal.user ~realm "robin")
   in
   let adv = Sim.Adversary.attach net in
-  Sim.Adversary.start_tap adv;
   { eng; net; profile; kdc; kdc_host; db; victim_ws; victim; victim_password;
     attacker_host; attacker; attacker_password; mail_host; mail; mail_principal;
     mail_port; file_host; file; file_principal; file_key; file_port; backup_host;

@@ -3,7 +3,9 @@
     account ([robin] — the paper's adversary "may also be in league with
     some subset of servers, clients"), a mail server, a file server, a
     backup server, an rsh host, a time server, and a Dolev-Yao adversary
-    already tapping the wire. *)
+    attached to the wire. The adversary records nothing until an attack
+    calls [Sim.Adversary.start_tap bed.adv], which it does right after
+    {!make}, before any traffic. *)
 
 open Kerberos
 

@@ -808,6 +808,7 @@ type channel = {
   mutable chan_pending : ([ `Priv | `Safe ] * bytes) option;
       (** the in-flight request's plaintext, kept for the TCP-upgrade
           resend *)
+  mutable chan_closed : bool;
   chan_client : t;
 }
 
@@ -817,7 +818,8 @@ let rec make_channel t session ~link ~creds ~mutual ~dst ~dport =
   let chan =
     { chan_session = session; chan_link = link; chan_dst = dst;
       chan_dport = dport; chan_creds = creds; chan_mutual = mutual;
-      chan_waiting = ignore; chan_pending = None; chan_client = t }
+      chan_waiting = ignore; chan_pending = None; chan_closed = false;
+      chan_client = t }
   in
   attach_channel chan;
   chan
@@ -882,6 +884,7 @@ and upgrade_channel chan =
         chan.chan_waiting <- ignore;
         chan.chan_pending <- None;
         waiter (Error ("TCP upgrade failed: " ^ e))
+    | Ok fresh when chan.chan_closed -> fresh.chan_link.lk_teardown ()
     | Ok fresh ->
         chan.chan_session <- fresh.chan_session;
         chan.chan_link <- fresh.chan_link;
@@ -1146,18 +1149,42 @@ let wait_on_channel chan ?deadline net ~k =
       chan.chan_waiting <- waiter;
       Sim.Engine.schedule_after (Sim.Net.engine net) d timer
 
+let channel_closed = Error "channel closed"
+
 let call_priv t chan ?deadline data ~k =
-  wait_on_channel chan ?deadline t.net ~k;
-  chan.chan_pending <- Some (`Priv, data);
-  let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
+  if chan.chan_closed then k channel_closed
+  else begin
+    wait_on_channel chan ?deadline t.net ~k;
+    chan.chan_pending <- Some (`Priv, data);
+    let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
+    chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
+  end
 
 let send_priv_oneway t chan data =
-  let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
+  if not chan.chan_closed then
+    let sealed = Krb_priv.seal chan.chan_session ~now:(now t) data in
+    chan.chan_link.lk_send (Frames.wrap Frames.priv sealed)
 
 let call_safe t chan ?deadline data ~k =
-  wait_on_channel chan ?deadline t.net ~k;
-  chan.chan_pending <- Some (`Safe, data);
-  let msg = Krb_safe.seal chan.chan_session ~now:(now t) data in
-  chan.chan_link.lk_send (Frames.wrap Frames.safe msg)
+  if chan.chan_closed then k channel_closed
+  else begin
+    wait_on_channel chan ?deadline t.net ~k;
+    chan.chan_pending <- Some (`Safe, data);
+    let msg = Krb_safe.seal chan.chan_session ~now:(now t) data in
+    chan.chan_link.lk_send (Frames.wrap Frames.safe msg)
+  end
+
+(* Tear the link down and drop every reference the channel's replies
+   could reach: a waiter still parked gets the closed error now, and a
+   frame that straggles in afterwards finds nothing to hand it to. *)
+let close chan =
+  if not chan.chan_closed then begin
+    chan.chan_closed <- true;
+    let link = chan.chan_link in
+    link.lk_recv <- ignore;
+    link.lk_teardown ();
+    let waiter = chan.chan_waiting in
+    chan.chan_waiting <- ignore;
+    chan.chan_pending <- None;
+    waiter channel_closed
+  end

@@ -197,11 +197,20 @@ val call_priv :
     survives for later calls). *)
 
 val send_priv_oneway : t -> channel -> bytes -> unit
+(** Fire-and-forget; a no-op on a closed channel. *)
 
 val call_safe :
   t -> channel -> ?deadline:float -> bytes -> k:((bytes, string) result -> unit) -> unit
 (** As [call_priv] but integrity-only (KRB_SAFE): the request travels in
     the clear with a sealed checksum. *)
+
+val close : channel -> unit
+(** Release the channel's link: the datagram port stops listening, a
+    stream is closed with a FIN. A call still waiting gets
+    [Error "channel closed"], and so does every later {!call_priv} or
+    {!call_safe}, at once and without sending a packet. Idempotent. A
+    channel that is never closed keeps its port, and with it the session
+    and credentials, for as long as the network lives. *)
 
 val logout : t -> unit
 (** Wipe cached credentials (workstation logout) — the TGT, the

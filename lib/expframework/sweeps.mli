@@ -11,12 +11,12 @@ val crack_sweep : unit -> (string * int * int * int * int) list
 
 val dlog_sweep :
   ?bits:int list -> unit -> (int * string * float * bool) list
-(** E13a: (modulus bits, algorithm, cpu seconds, recovered?) — LaMacchia &
+(** E13a: (modulus bits, algorithm, wall seconds, recovered?) — LaMacchia &
     Odlyzko's point that small exponential-exchange moduli fall to generic
     attacks in trivial time. *)
 
 val modexp_cost : unit -> (int * float) list
-(** E13b: (modulus bits, cpu seconds per login-side exponentiation) — and
+(** E13b: (modulus bits, wall seconds per login-side exponentiation) — and
     the other side of the trade-off: "using large ones is expensive". *)
 
 val overhead : unit -> (string * int * int * int * bool) list

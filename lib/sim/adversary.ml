@@ -1,11 +1,19 @@
-type t = { network : Net.t; mutable seen : Packet.t list (* reverse order *) }
+type t = {
+  network : Net.t;
+  mutable tapping : bool;
+  mutable seen : Packet.t list; (* reverse order *)
+}
 
-let attach network = { network; seen = [] }
+let attach network = { network; tapping = false; seen = [] }
 let net t = t.network
 
-let start_tap t = Net.add_tap t.network (fun pkt -> t.seen <- pkt :: t.seen)
+let start_tap t =
+  t.tapping <- true;
+  Net.add_tap t.network (fun pkt -> t.seen <- pkt :: t.seen)
 
-let captured t = List.rev t.seen
+let captured t =
+  if not t.tapping then invalid_arg "Adversary.captured: start_tap was never called";
+  List.rev t.seen
 
 let capture_matching t pred = List.filter pred (captured t)
 

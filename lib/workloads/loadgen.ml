@@ -238,7 +238,9 @@ let log_in w client (u : Passwords.user) =
     | Error _ -> w.errors <- w.errors + 1)
 
 (* One benign request: a ticket for the service, an AP exchange, one
-   private message — complete when the echo comes back. *)
+   private message — complete when the echo comes back. The channel is
+   closed as soon as its one reply settles, so a finished request leaves
+   no port, session or credentials behind. *)
 let call_service w client (principal, _, addr) payload =
   Client.get_ticket client ~service:principal (function
     | Error _ -> w.errors <- w.errors + 1
@@ -246,9 +248,11 @@ let call_service w client (principal, _, addr) payload =
         Client.ap_exchange client creds ~dst:addr ~dport:600 (function
           | Error _ -> w.errors <- w.errors + 1
           | Ok chan ->
-              Client.call_priv client chan (Bytes.of_string payload) ~k:(function
-                | Error _ -> w.errors <- w.errors + 1
-                | Ok _ -> w.completed <- w.completed + 1)))
+              Client.call_priv client chan (Bytes.of_string payload) ~k:(fun r ->
+                  Client.close chan;
+                  match r with
+                  | Error _ -> w.errors <- w.errors + 1
+                  | Ok _ -> w.completed <- w.completed + 1)))
 
 (* Storm hygiene for a wave's clients (see {!Client.create}); a wave
    without it runs the historical client. *)
@@ -327,9 +331,13 @@ let calm_wave ?retries ?hygiene w ~kdcs request =
 let hist w name =
   Telemetry.Metrics.histogram (Telemetry.Collector.metrics w.tel) name
 
+(* Monotonic wall-clock seconds since [t0], a {!Monotonic_clock.now}
+   reading: what a campaign cost this machine, not the process CPU time. *)
+let wall_since t0 = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+
 let run_timed ?on_world cfg =
   validate cfg;
-  let t0 = Sys.time () in
+  let t0 = Monotonic_clock.now () in
   let w = build_realm ~ap:true cfg in
   let _, kdcs = kdc_pool w in
   let clients = calm_wave w ~kdcs (fun c svc -> call_service w c svc "PING") in
@@ -346,10 +354,10 @@ let run_timed ?on_world cfg =
           w_client_addrs = Array.init cfg.active_clients client_addr;
           w_user = user_of cfg; w_users = cfg.users; w_active = cfg.active_clients }
         w.tel);
-  let setup_seconds = Sys.time () -. t0 in
-  let t1 = Sys.time () in
+  let setup_seconds = wall_since t0 in
+  let t1 = Monotonic_clock.now () in
   Sim.Engine.run w.engine;
-  let run_seconds = Sys.time () -. t1 in
+  let run_seconds = wall_since t1 in
   let count name = Telemetry.Metrics.hist_count (hist w name) in
   let hits = Array.fold_left (fun a c -> a + Client.ccache_hits c) 0 clients in
   let misses = Array.fold_left (fun a c -> a + Client.ccache_misses c) 0 clients in

@@ -69,7 +69,9 @@ type report = {
 }
 
 (** Where the run's {e wall-clock} time went — the non-deterministic
-    companion to the report. [events] is {!Sim.Engine.executed};
+    companion to the report. Seconds are read from a monotonic clock, so
+    they include time the process spent descheduled or in the kernel;
+    they are not process CPU time. [events] is {!Sim.Engine.executed};
     [events_per_second] is the load plane's headline
     [sim_events_per_wall_second]. *)
 type timing = {

@@ -156,6 +156,100 @@ let profile_cases name profile =
     Alcotest.test_case (name ^ ": ticket caching") `Quick (tickets_cached profile) ]
 
 (* ------------------------------------------------------------------ *)
+(* Closing a channel                                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* A "BIG" request is answered with more than the path MTU set below, so
+   the datagram channel upgrades to the stream for it. *)
+let big_reply session ~client data =
+  if Bytes.to_string data = "BIG" then Some (Bytes.make 1200 'b')
+  else echo_handler session ~client data
+
+(* The client ports opened since [lo] that still listen. *)
+let open_ports bed ~lo =
+  let hi = Sim.Net.ephemeral_port bed.net in
+  List.length
+    (List.filter
+       (fun port -> Sim.Net.listening bed.net (Sim.Host.primary_ip bed.ws) ~port)
+       (List.init (hi - lo - 1) (fun i -> lo + 1 + i)))
+
+(* Log in, open a channel, make one call with [request] and hand the
+   channel over once its reply is in. *)
+let channel_after bed ~request =
+  let out = ref None in
+  Client.login bed.client ~password:"correct.horse" (fun r ->
+      ignore (expect_ok "login" r);
+      Client.get_ticket bed.client ~service:bed.file_principal (fun r ->
+          let creds = expect_ok "get_ticket" r in
+          Client.ap_exchange bed.client creds
+            ~dst:(Sim.Host.primary_ip bed.server_host) ~dport:bed.file_port
+            (fun r ->
+              let chan = expect_ok "ap" r in
+              Client.call_priv bed.client chan (Bytes.of_string request)
+                ~k:(fun r -> out := Some (chan, expect_ok "priv" r)))));
+  run bed;
+  match !out with
+  | Some v -> v
+  | None -> Alcotest.fail "no reply (simulation stalled)"
+
+let closed_channel_refuses () =
+  let bed = make_bed () in
+  let lo = Sim.Net.ephemeral_port bed.net in
+  let chan, reply = channel_after bed ~request:"hello" in
+  Alcotest.(check string) "open channel works" "echo:hello" (Bytes.to_string reply);
+  Alcotest.(check int) "its port listens" 1 (open_ports bed ~lo);
+  let sent = ref 0 in
+  Sim.Net.add_tap bed.net (fun _ -> incr sent);
+  Client.close chan;
+  Client.close chan;
+  let answers = ref [] in
+  let note r = answers := r :: !answers in
+  Client.call_priv bed.client chan (Bytes.of_string "again") ~k:note;
+  Client.call_safe bed.client chan (Bytes.of_string "again") ~k:note;
+  Client.send_priv_oneway bed.client chan (Bytes.of_string "again");
+  Alcotest.(check (list (result string string))) "refused at once"
+    [ Error "channel closed"; Error "channel closed" ]
+    (List.map (Result.map Bytes.to_string) !answers);
+  run bed;
+  Alcotest.(check int) "no packet sent" 0 !sent;
+  Alcotest.(check int) "port released" 0 (open_ports bed ~lo)
+
+let closed_channel_ends_stream () =
+  let bed = make_bed ~handler:big_reply () in
+  Sim.Net.set_mtu bed.net (Some 600);
+  let lo = Sim.Net.ephemeral_port bed.net in
+  let chan, reply = channel_after bed ~request:"BIG" in
+  Alcotest.(check int) "upgraded reply whole" 1200 (Bytes.length reply);
+  Alcotest.(check int) "the stream's port listens" 1 (open_ports bed ~lo);
+  Client.close chan;
+  run bed;
+  Alcotest.(check int) "stream closed" 0 (open_ports bed ~lo)
+
+(* The call times out while its channel is still being upgraded; the
+   caller closes it, and the stream the upgrade then opens is torn down
+   instead of being attached to the closed channel. *)
+let close_during_upgrade () =
+  let bed = make_bed ~handler:big_reply () in
+  Sim.Net.set_mtu bed.net (Some 600);
+  let lo = Sim.Net.ephemeral_port bed.net in
+  let chan, _ = channel_after bed ~request:"hello" in
+  let outcome = ref None in
+  Client.call_priv bed.client chan ~deadline:0.015 (Bytes.of_string "BIG")
+    ~k:(fun r ->
+      outcome := Some (Result.map Bytes.to_string r);
+      Client.close chan);
+  run bed;
+  Alcotest.(check (option (result string string))) "timed out"
+    (Some (Error "call timed out")) !outcome;
+  Alcotest.(check int) "no stream left open" 0 (open_ports bed ~lo)
+
+let suite_close =
+  [ Alcotest.test_case "closed channel refuses calls" `Quick closed_channel_refuses;
+    Alcotest.test_case "closing an upgraded channel ends its stream" `Quick
+      closed_channel_ends_stream;
+    Alcotest.test_case "close during an upgrade" `Quick close_during_upgrade ]
+
+(* ------------------------------------------------------------------ *)
 (* Replay cache behaviour at the AP server                             *)
 (* ------------------------------------------------------------------ *)
 
@@ -478,6 +572,7 @@ let () =
             client_rejects_bad_exponential ] );
       ( "server-state",
         [ Alcotest.test_case "challenge flood bounded" `Quick challenge_state_bounded ] );
+      ("close", suite_close);
       ("replay", suite_replay);
       ("cross-realm", suite_cross_realm);
       ("units", suite_units) ]

@@ -163,6 +163,7 @@ let stolen_ccache_replays () =
    exchange above, which builds a fresh authenticator.) *)
 let wire_replay profile =
   let bed = Attacks.Testbed.make ~profile () in
+  Sim.Adversary.start_tap bed.adv;
   Attacks.Testbed.victim_mail_session bed ();
   Attacks.Testbed.run bed;
   let srv = Services.Mailserver.apserver bed.mail in

@@ -242,6 +242,74 @@ let str2key_golden () =
   Alcotest.(check string) "derive digest" "a9b6a6211c6b2c86a6043ef049fddeb0"
     (Digest.to_hex (Digest.string (Buffer.contents buf)))
 
+(* ------------------------------------------------------------------ *)
+(* Retention: a finished exchange leaves nothing behind                *)
+(* ------------------------------------------------------------------ *)
+
+(* One closed-loop session in a v4 testbed — login, file-server ticket,
+   AP exchange, one sealed call — whose channel is closed once the reply
+   is in. *)
+let closed_session (tb : Attacks.Testbed.t) =
+  let c = tb.Attacks.Testbed.victim in
+  let expect = Attacks.Testbed.expect in
+  let finished = ref false in
+  Kerberos.Client.login c ~password:tb.Attacks.Testbed.victim_password (fun r ->
+      ignore (expect "login" r);
+      Kerberos.Client.get_ticket c ~service:tb.Attacks.Testbed.file_principal
+        (fun r ->
+          Kerberos.Client.ap_exchange c (expect "ticket" r)
+            ~dst:(Sim.Host.primary_ip tb.Attacks.Testbed.file_host)
+            ~dport:tb.Attacks.Testbed.file_port (fun r ->
+              let chan = expect "ap" r in
+              Kerberos.Client.call_priv c chan (Bytes.of_string "LIST")
+                ~k:(fun r ->
+                  Kerberos.Client.close chan;
+                  ignore (expect "priv" r);
+                  finished := true))));
+  Attacks.Testbed.run tb;
+  if not !finished then Alcotest.fail "session stalled"
+
+let live_bytes () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words * (Sys.word_size / 8)
+
+(* The warm-up fills every bounded table the bed keeps: the net's event
+   ring (65,536 events, 16 per session) and the AP server's peer table
+   (4,096 peers, one per session). After that, more sessions may only
+   grow the heap by what is retained on purpose: the file server's request
+   log (about 90 B a session). An open channel (about 1.9 KB a session)
+   or a running tap (about 2.4 KB, the packets the full ring has let go)
+   shows at once. *)
+let testbed_sessions_retain_nothing () =
+  let tb = Attacks.Testbed.make ~profile:Kerberos.Profile.v4 () in
+  for _ = 1 to 5_000 do closed_session tb done;
+  let before = live_bytes () in
+  let n = 2_000 in
+  for _ = 1 to n do closed_session tb done;
+  let per_session = (live_bytes () - before) / n in
+  if per_session >= 256 then
+    Alcotest.failf "%d B retained per closed session (bound 256)" per_session;
+  ignore (Sys.opaque_identity tb)
+
+(* Everything the load world still reaches once a small lazy campaign is
+   over, per active client. Open channels alone kept about 36 KB a
+   client here; closed, about 20 KB remain, nearly all of it the AP
+   servers' per-peer session state. *)
+let campaign_world_per_client () =
+  let cfg =
+    { Workloads.Loadgen.default with
+      Workloads.Loadgen.users = 2_000; shards = 4; kdcs = 2;
+      active_clients = 200; requests_per_client = 10; ccache = true;
+      lightweight = true; lazy_users = true; seed = 7L }
+  in
+  let world = ref None in
+  let r, _ = Workloads.Loadgen.run_timed cfg ~on_world:(fun w _ -> world := Some w) in
+  Alcotest.(check int) "every request completed" 2_000 r.Workloads.Loadgen.completed;
+  let words = Obj.reachable_words (Obj.repr (Option.get !world)) in
+  let per_client = words * (Sys.word_size / 8) / cfg.Workloads.Loadgen.active_clients in
+  if per_client >= 26_000 then
+    Alcotest.failf "%d B reachable per active client (bound 26,000)" per_client
+
 let () =
   Alcotest.run "perf"
     [ ( "schedule-cache",
@@ -257,4 +325,9 @@ let () =
           Alcotest.test_case "kdb provider" `Quick kdb_lazy_provider;
           Alcotest.test_case "lazy = eager" `Quick lazy_matches_eager ] );
       ( "str2key",
-        [ Alcotest.test_case "golden digest" `Quick str2key_golden ] ) ]
+        [ Alcotest.test_case "golden digest" `Quick str2key_golden ] );
+      ( "retention",
+        [ Alcotest.test_case "testbed sessions" `Quick
+            testbed_sessions_retain_nothing;
+          Alcotest.test_case "campaign world per client" `Quick
+            campaign_world_per_client ] ) ]

@@ -324,6 +324,27 @@ let net_tap_capture () =
   Engine.run eng;
   Alcotest.(check int) "captured both" 2 (List.length (Adversary.captured adv))
 
+(* Recording is opt-in: an adversary whose tap was never started keeps
+   nothing, and reading its capture is a loud error, not an empty list. *)
+let net_tap_required () =
+  let eng, net, a, b = mk_net () in
+  let adv = Adversary.attach net in
+  Net.listen net b ~port:100 ignore;
+  Net.send net ~sport:1 ~dst:(Host.primary_ip b) ~dport:100 a (Bytes.of_string "x");
+  Engine.run eng;
+  let raises f =
+    match f () with _ -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "captured raises" true
+    (raises (fun () -> Adversary.captured adv));
+  Alcotest.(check bool) "capture_matching raises" true
+    (raises (fun () -> Adversary.capture_matching adv (fun _ -> true)));
+  Adversary.start_tap adv;
+  Net.send net ~sport:1 ~dst:(Host.primary_ip b) ~dport:100 a (Bytes.of_string "y");
+  Engine.run eng;
+  Alcotest.(check (list string)) "only traffic after the tap" [ "y" ]
+    (List.map (fun p -> Bytes.to_string p.Packet.payload) (Adversary.captured adv))
+
 let rpc_roundtrip () =
   let eng, net, a, b = mk_net () in
   Net.listen net b ~port:100 (fun pkt ->
@@ -503,6 +524,7 @@ let suite_net =
     Alcotest.test_case "interceptor" `Quick net_interceptor;
     Alcotest.test_case "adversary spoof" `Quick net_adversary_spoof;
     Alcotest.test_case "tap capture" `Quick net_tap_capture;
+    Alcotest.test_case "tap required" `Quick net_tap_required;
     Alcotest.test_case "inject records nothing when lightweight" `Quick
       net_inject_lightweight;
     Alcotest.test_case "rpc roundtrip" `Quick rpc_roundtrip;
